@@ -8,13 +8,15 @@
 //   3. warm sweep   — run_sweep, threads=N, cache loaded from disk
 //
 // Prints wall clock, speedups and cache hit rates; exits nonzero if the
-// threads+cache path is not at least 2x the sequential baseline or the
-// warm run reports no cache hits.
+// threads+cache path is not at least 2x the sequential baseline, the
+// warm run reports no cache hits, or — on a machine with at least 4
+// hardware threads — the cold leg alone is not at least 2x sequential.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cell/characterize.hpp"
@@ -142,6 +144,20 @@ int main(int argc, char** argv) {
             << core::TextTable::num(best_speedup, 2) << "x (>= 2x required), "
             << warm.cache.hits << " warm hits (nonzero required)\n";
 
+  // Cold parallel scaling: with empty caches only the threads can win.
+  const unsigned cores = std::thread::hardware_concurrency();
+  const double cold_speedup = sec_seq / sec_cold;
+  bool cold_ok = true;
+  if (cores >= 4) {
+    cold_ok = cold_speedup >= 2.0;
+    std::cout << (cold_ok ? "PASS" : "FAIL") << ": cold threads+cache "
+              << "speedup " << core::TextTable::num(cold_speedup, 2)
+              << "x (>= 2x required on " << cores << " cores)\n";
+  } else {
+    std::cout << "SKIP: cold scaling gate needs >= 4 cores, have " << cores
+              << "\n";
+  }
+
   if (!trace_path.empty()) {
     if (obs::tracer().save(trace_path)) {
       std::cerr << "wrote " << trace_path << " ("
@@ -157,5 +173,5 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot write " << metrics_path << "\n";
     }
   }
-  return ok ? 0 : 1;
+  return ok && cold_ok ? 0 : 1;
 }

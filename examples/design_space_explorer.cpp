@@ -57,7 +57,7 @@ int main() {
                       .count();
   std::cerr << searches << " searches, " << points
             << " Pareto points in " << core::TextTable::num(dt, 1)
-            << " s (" << compiler.scl().cache_entries()
-            << " cached slice characterizations)\n";
+            << " s (" << compiler.scl().artifacts().flats.stats().entries
+            << " slice netlists in the artifact store)\n";
   return 0;
 }

@@ -172,7 +172,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
   replay_diags(placed->diags, impl.diagnostics);
   impl.floorplan = placed->floorplan;
 
-  const auto route = pipe.run("route", &as.routes, "route1|" + lkey, [&] {
+  const auto route = pipe.run("route", &as.routes, "route2|" + lkey, [&] {
     RouteArtifact ra;
     ra.drc = layout::run_drc(*flat, lib_, placed->floorplan);
     ra.lvs = layout::run_lvs(*flat, lib_, placed->floorplan);

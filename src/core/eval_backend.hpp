@@ -1,6 +1,4 @@
 #pragma once
-#include <mutex>
-
 #include "core/scl.hpp"
 
 namespace syndcim::core {
@@ -25,17 +23,13 @@ class EvalBackend {
                                const PerfSpec& spec) = 0;
 };
 
-/// Default backend: forwards to the SubcircuitLibrary. Serialized by an
-/// internal mutex so concurrent searchers (the DSE sweep pool) can share
-/// one library — and therefore one slice-characterization cache — safely;
-/// `SubcircuitLibrary::slice` mutates its cache map and is not itself
-/// thread-safe.
+/// Default backend: forwards to the SubcircuitLibrary. It holds no state
+/// of its own, so concurrent searchers (the DSE sweep pool) share one.
 class SclEvalBackend final : public EvalBackend {
  public:
   explicit SclEvalBackend(SubcircuitLibrary& scl) : scl_(scl) {}
   EvalOutcome evaluate(const rtlgen::MacroConfig& cfg,
                        const PerfSpec& spec) override {
-    const std::lock_guard<std::mutex> lock(mu_);
     EvalOutcome out;
     out.ppa = scl_.evaluate(cfg, spec);
     out.timing = scl_.timing_status(cfg, spec);
@@ -44,7 +38,6 @@ class SclEvalBackend final : public EvalBackend {
 
  private:
   SubcircuitLibrary& scl_;
-  std::mutex mu_;
 };
 
 }  // namespace syndcim::core

@@ -35,12 +35,10 @@ SubcircuitLibrary::SubcircuitLibrary(const cell::Library& lib,
   (void)lib_.fingerprint();
 }
 
-const SliceEval& SubcircuitLibrary::slice(const MacroConfig& cfg) {
+SliceEval SubcircuitLibrary::slice(const MacroConfig& cfg) {
   // The slice content key already normalizes the column count, so every
   // configuration differing only in `cols` maps to one characterization.
   const std::string skey = rtlgen::slice_content_key(cfg);
-  const auto it = cache_.find(skey);
-  if (it != cache_.end()) return it->second;
 
   // Slice: one OFU group wide (min 8 columns to satisfy the generator).
   MacroConfig sc = cfg;
@@ -142,13 +140,12 @@ const SliceEval& SubcircuitLibrary::slice(const MacroConfig& cfg) {
                       : 0.0;
     ev.groups.push_back(std::move(gc));
   }
-  last_stages_ = pipe.records();
-  return cache_.emplace(skey, std::move(ev)).first->second;
+  return ev;
 }
 
 SubcircuitLibrary::PathStatus SubcircuitLibrary::timing_status(
     const MacroConfig& cfg, const PerfSpec& spec) {
-  const SliceEval& ev = slice(cfg);
+  const SliceEval ev = slice(cfg);
   const double ds = lib_.node().delay_scale(spec.vdd);
   PathStatus st;
   st.mac_period_ps = ev.mac_path_period_ps * ds;
@@ -165,7 +162,7 @@ SubcircuitLibrary::PathStatus SubcircuitLibrary::timing_status(
 
 PpaEstimate SubcircuitLibrary::evaluate(const MacroConfig& cfg,
                                         const PerfSpec& spec) {
-  const SliceEval& ev = slice(cfg);
+  const SliceEval ev = slice(cfg);
   const tech::TechNode& node = lib_.node();
   const double ds = node.delay_scale(spec.vdd);
   const double es = node.energy_scale(spec.vdd);

@@ -1,5 +1,4 @@
 #pragma once
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,9 +14,10 @@ namespace syndcim::core {
 /// Characterized PPA of one macro configuration, obtained by elaborating a
 /// single-OFU-group *slice* of the macro (all columns are identical, so
 /// the slice's stage timing and per-group power/area compose exactly into
-/// the full macro). Cached per configuration — this is the paper's
-/// "subcircuit library with PPA lookup tables": the searcher consults
-/// these entries instead of re-elaborating full macros.
+/// the full macro). Every stage behind it is memoized in the artifact
+/// store — this is the paper's "subcircuit library with PPA lookup
+/// tables": the searcher consults these entries instead of re-elaborating
+/// full macros.
 struct SliceEval {
   int slice_cols = 0;
   // Nominal-voltage timing (scale by TechNode::delay_scale for other VDD).
@@ -51,9 +51,11 @@ struct SliceEval {
 /// configuration differing only in `cols` shares one characterization,
 /// and a one-knob delta re-runs only the stages its knob reaches.
 ///
-/// The store can be shared across SubcircuitLibrary instances (and with
-/// the compiler / DSE worker threads): the tiers are thread-safe, while
-/// `slice()` itself is not — callers serialize it (SclEvalBackend does).
+/// The library holds no cache of its own: the store is the only memo, so
+/// a repeat `slice()` replays every stage from its tier. The store can be
+/// shared across SubcircuitLibrary instances, the compiler and the DSE
+/// worker threads; its tiers are thread-safe, so concurrent calls need no
+/// lock.
 class SubcircuitLibrary {
  public:
   /// Owns a private artifact store.
@@ -64,8 +66,8 @@ class SubcircuitLibrary {
   SubcircuitLibrary(const cell::Library& lib,
                     std::shared_ptr<ArtifactStore> store);
 
-  /// Cached slice characterization of `cfg`.
-  const SliceEval& slice(const rtlgen::MacroConfig& cfg);
+  /// Slice characterization of `cfg`, assembled from the store's tiers.
+  [[nodiscard]] SliceEval slice(const rtlgen::MacroConfig& cfg);
 
   /// Full-macro search-time PPA estimate under `spec`'s frequency/voltage.
   [[nodiscard]] PpaEstimate evaluate(const rtlgen::MacroConfig& cfg,
@@ -92,7 +94,6 @@ class SubcircuitLibrary {
   faster_tree_ladder(const rtlgen::AdderTreeConfig& cur);
 
   [[nodiscard]] const cell::Library& cells() const { return lib_; }
-  [[nodiscard]] std::size_t cache_entries() const { return cache_.size(); }
 
   /// The subcircuit-artifact store this library characterizes through.
   [[nodiscard]] ArtifactStore& artifacts() { return *store_; }
@@ -100,17 +101,10 @@ class SubcircuitLibrary {
       const {
     return store_;
   }
-  /// Stage run/skip records of the most recent slice() characterization
-  /// that missed the SliceEval memo (empty before the first miss).
-  [[nodiscard]] const std::vector<StageRecord>& last_slice_stages() const {
-    return last_stages_;
-  }
 
  private:
   const cell::Library& lib_;
   std::shared_ptr<ArtifactStore> store_;
-  std::map<std::string, SliceEval> cache_;  ///< keyed by slice content key
-  std::vector<StageRecord> last_stages_;
 };
 
 }  // namespace syndcim::core

@@ -262,11 +262,11 @@ SweepReport run_sweep(const cell::Library& lib,
   const int threads =
       opt.threads > 0 ? opt.threads : WorkStealingPool::default_threads();
 
-  // One shared SCL (its slice cache is spec-independent, so every task
-  // benefits), wrapped in the thread-safe backend, optionally memoized.
-  // Every worker characterizes through one subcircuit-artifact store —
-  // the fine-grained second cache tier; disabling it bypasses the tiers
-  // but runs the identical code path. A caller-owned store (the serve
+  // One shared SCL behind a stateless backend, optionally memoized by
+  // the eval cache. Every worker characterizes through one
+  // subcircuit-artifact store — the only memo below the eval cache, and
+  // spec-independent, so every task benefits; disabling it bypasses the
+  // tiers but runs the identical code path. A caller-owned store (the serve
   // daemon's process-wide one) is adopted via a non-owning handle, and
   // its enabled state is the owner's business.
   const std::shared_ptr<core::ArtifactStore> store =
@@ -280,14 +280,15 @@ SweepReport run_sweep(const cell::Library& lib,
   EvalCache own_cache;
   EvalCache& cache =
       opt.shared_eval_cache != nullptr ? *opt.shared_eval_cache : own_cache;
+  // Start-of-run snapshots: report/metric statistics stay per-run deltas
+  // even when the store/cache outlive this sweep. The cache snapshot
+  // precedes the warm-start load, so the delta counts the import.
+  const std::vector<core::ArtifactTierStats> store_before = store->stats();
+  const EvalCacheStats cache_before = cache.stats();
   if (opt.use_cache && opt.shared_eval_cache == nullptr &&
       !opt.cache_path.empty()) {
     (void)cache.load_json(opt.cache_path);
   }
-  // Start-of-run snapshots: report/metric statistics stay per-run deltas
-  // even when the store/cache outlive this sweep.
-  const std::vector<core::ArtifactTierStats> store_before = store->stats();
-  const EvalCacheStats cache_before = cache.stats();
   CachedEvalBackend cached(raw, cache);
   core::EvalBackend& backend =
       opt.use_cache ? static_cast<core::EvalBackend&>(cached) : raw;

@@ -361,7 +361,9 @@ DrcReport run_drc(const FlatNetlist& nl, const cell::Library& lib,
   const ResolvedCells rc = resolve(nl, lib);
   DrcReport rep;
   const double eps = 1e-6;
-  // Spatial hash for overlap checks.
+  // Spatial hash for overlap checks. A pair sharing several bins is
+  // reported once, from the bin holding the lower corner of the two
+  // rectangles' intersection.
   const double bin = 10.0;
   std::unordered_map<std::int64_t, std::vector<std::uint32_t>> grid;
   auto key = [](int bx, int by) {
@@ -389,7 +391,9 @@ DrcReport run_drc(const FlatNetlist& nl, const cell::Library& lib,
         for (const std::uint32_t o : grid[key(bx, by)]) {
           const Rect& q = fp.gate_rects[o];
           if (r.x < q.x2() - eps && q.x < r.x2() - eps &&
-              r.y < q.y2() - eps && q.y < r.y2() - eps) {
+              r.y < q.y2() - eps && q.y < r.y2() - eps &&
+              static_cast<int>(std::max(r.x, q.x) / bin) == bx &&
+              static_cast<int>(std::max(r.y, q.y) / bin) == by) {
             rep.violations.push_back("overlap between gates " +
                                      std::to_string(g) + " and " +
                                      std::to_string(o));

@@ -97,6 +97,9 @@ std::string kv_string(std::map<std::string, std::string>& kv,
 
 Server::Server(const cell::Library& lib, ServerOptions opt)
     : lib_(lib), opt_(std::move(opt)) {
+  // The library's first fingerprint() call is not thread-safe; make it
+  // here, before workers build compilers and sweeps over the library.
+  (void)lib_.fingerprint();
   store_ = std::make_shared<core::ArtifactStore>();
   if (opt_.artifact_max_entries > 0 || opt_.artifact_max_bytes > 0) {
     store_->set_capacity(opt_.artifact_max_entries, opt_.artifact_max_bytes);

@@ -70,14 +70,22 @@ TEST(Scl, CachesSliceEvaluations) {
   core::SubcircuitLibrary scl(lib());
   const PerfSpec spec = small_spec();
   const auto cfg = spec.base_config();
-  (void)scl.slice(cfg);
-  EXPECT_EQ(scl.cache_entries(), 1u);
-  (void)scl.slice(cfg);
-  EXPECT_EQ(scl.cache_entries(), 1u);
+  const auto& flats = scl.artifacts().flats;
+  const core::SliceEval a = scl.slice(cfg);
+  EXPECT_EQ(flats.stats().entries, 1u);
+  // A repeat call replays every stage from the store: hits, no misses.
+  const std::uint64_t misses = scl.artifacts().total_misses();
+  const std::uint64_t flat_hits = flats.stats().hits;
+  const core::SliceEval b = scl.slice(cfg);
+  EXPECT_EQ(flats.stats().entries, 1u);
+  EXPECT_EQ(scl.artifacts().total_misses(), misses);
+  EXPECT_GT(flats.stats().hits, flat_hits);
+  EXPECT_EQ(a.min_period_ps, b.min_period_ps);
+  EXPECT_EQ(a.gate_count, b.gate_count);
   auto cfg2 = cfg;
   cfg2.tree.fa_fraction = 1.0;
   (void)scl.slice(cfg2);
-  EXPECT_EQ(scl.cache_entries(), 2u);
+  EXPECT_EQ(flats.stats().entries, 2u);
 }
 
 TEST(Scl, EvaluateIsConsistent) {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cell/characterize.hpp"
@@ -52,6 +55,29 @@ void expect_same_points(const std::vector<core::DesignPoint>& a,
     EXPECT_EQ(dse::hash_config(a[i].cfg), dse::hash_config(b[i].cfg))
         << "point " << i;
   }
+}
+
+/// Bit-for-bit equality of two evaluation outcomes.
+void expect_same_outcome(const core::EvalOutcome& a,
+                         const core::EvalOutcome& b, const std::string& at) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  EXPECT_EQ(bits(a.ppa.fmax_mhz), bits(b.ppa.fmax_mhz)) << at;
+  EXPECT_EQ(bits(a.ppa.write_fmax_mhz), bits(b.ppa.write_fmax_mhz)) << at;
+  EXPECT_EQ(bits(a.ppa.power_uw), bits(b.ppa.power_uw)) << at;
+  EXPECT_EQ(bits(a.ppa.area_um2), bits(b.ppa.area_um2)) << at;
+  EXPECT_EQ(bits(a.ppa.energy_per_mac_fj), bits(b.ppa.energy_per_mac_fj))
+      << at;
+  EXPECT_EQ(a.ppa.latency_cycles, b.ppa.latency_cycles) << at;
+  EXPECT_EQ(bits(a.ppa.tops_1b), bits(b.ppa.tops_1b)) << at;
+  EXPECT_EQ(bits(a.timing.mac_period_ps), bits(b.timing.mac_period_ps))
+      << at;
+  EXPECT_EQ(bits(a.timing.ofu_period_ps), bits(b.timing.ofu_period_ps))
+      << at;
+  EXPECT_EQ(bits(a.timing.write_period_ps), bits(b.timing.write_period_ps))
+      << at;
+  EXPECT_EQ(a.timing.mac_ok, b.timing.mac_ok) << at;
+  EXPECT_EQ(a.timing.ofu_ok, b.timing.ofu_ok) << at;
+  EXPECT_EQ(a.timing.write_ok, b.timing.write_ok) << at;
 }
 
 /// Deterministic synthetic backend: derives an outcome from the config
@@ -461,6 +487,8 @@ TEST(SweepDeterminism, CacheDoesNotChangeResultsAndGetsHits) {
   dse::SweepOptions cached;
   cached.threads = 2;
   cached.use_cache = true;
+  cached.cache_path = "dse_sweep_test.cache.json";
+  std::remove(cached.cache_path.c_str());
   const dse::SweepReport a = dse::run_sweep(test_library(), specs, uncached);
   const dse::SweepReport b = dse::run_sweep(test_library(), specs, cached);
 
@@ -468,6 +496,70 @@ TEST(SweepDeterminism, CacheDoesNotChangeResultsAndGetsHits) {
   EXPECT_EQ(a.cache.hits + a.cache.misses, 0u) << "cache off must not count";
   EXPECT_GT(b.cache.hits, 0u)
       << "the preference-duplicated spec must hit the shared cache";
+
+  // A second run warm-starts from the file the first one saved, and its
+  // report counts the import.
+  const dse::SweepReport c = dse::run_sweep(test_library(), specs, cached);
+  std::remove(cached.cache_path.c_str());
+  EXPECT_EQ(c.cache.loaded, b.cache.entries);
+}
+
+TEST(SweepConcurrency, SharedSclBackendMatchesOneThread) {
+  // Configurations sharing a slice key differ only in `cols`; two slice
+  // keys, each under two specs, so threads collide on every stage tier.
+  std::vector<rtlgen::MacroConfig> cfgs;
+  for (const double fa : {0.0, 1.0}) {
+    for (const int cols : {16, 32, 64}) {
+      rtlgen::MacroConfig cfg = small_spec().base_config();
+      cfg.tree.fa_fraction = fa;
+      cfg.cols = cols;
+      cfgs.push_back(cfg);
+    }
+  }
+  core::PerfSpec fast = small_spec();
+  fast.mac_freq_mhz = 450.0;
+  fast.vdd = 0.8;
+  const std::vector<core::PerfSpec> specs = {small_spec(), fast};
+  struct Job {
+    const rtlgen::MacroConfig* cfg;
+    const core::PerfSpec* spec;
+  };
+  std::vector<Job> jobs;
+  for (const core::PerfSpec& spec : specs) {
+    for (const rtlgen::MacroConfig& cfg : cfgs) jobs.push_back({&cfg, &spec});
+  }
+
+  std::vector<core::EvalOutcome> want;
+  {
+    core::SubcircuitLibrary scl(test_library());
+    core::SclEvalBackend backend(scl);
+    for (const Job& j : jobs) want.push_back(backend.evaluate(*j.cfg, *j.spec));
+  }
+
+  // Every thread walks the whole list from a different offset.
+  constexpr std::size_t kThreads = 4;
+  core::SubcircuitLibrary scl(test_library());
+  core::SclEvalBackend backend(scl);
+  std::vector<std::vector<core::EvalOutcome>> got(
+      kThreads, std::vector<core::EvalOutcome>(jobs.size()));
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const std::size_t i = (k + t * jobs.size() / kThreads) % jobs.size();
+        got[t][i] = backend.evaluate(*jobs[i].cfg, *jobs[i].spec);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_same_outcome(want[i], got[t][i],
+                          "thread " + std::to_string(t) + " job " +
+                              std::to_string(i));
+    }
+  }
 }
 
 TEST(SweepDeterminism, MatchesSequentialSearcher) {

@@ -339,22 +339,35 @@ TEST(SubcircuitLibrary, SharedStoreSkipsEverySliceStage) {
   core::SubcircuitLibrary scl1(lib(), store);
   core::SubcircuitLibrary scl2(lib(), store);
   const rtlgen::MacroConfig cfg = small_cfg();
+  // The tiers of the six slice stages.
+  const auto slice_tiers = [&] {
+    core::ArtifactStore& as = scl1.artifacts();
+    return std::vector<core::ArtifactTierStats>{
+        as.flats.stats(),   as.placed.stats(),     as.routes.stats(),
+        as.timings.stats(), as.act_models.stats(), as.powers.stats()};
+  };
 
   const core::PpaEstimate a = scl1.evaluate(cfg, core::PerfSpec{});
-  for (const core::StageRecord& r : scl1.last_slice_stages()) {
-    EXPECT_FALSE(r.skipped) << r.stage;
+  for (const core::ArtifactTierStats& t : slice_tiers()) {
+    EXPECT_EQ(t.misses, 1u) << t.name;
+    EXPECT_EQ(t.hits, 0u) << t.name;
   }
+  const std::uint64_t misses = store->total_misses();
 
-  // A second library over the same store (the sweep's worker situation)
-  // replays the whole slice from artifacts.
-  const core::PpaEstimate b = scl2.evaluate(cfg, core::PerfSpec{});
-  ASSERT_FALSE(scl2.last_slice_stages().empty());
-  for (const core::StageRecord& r : scl2.last_slice_stages()) {
-    EXPECT_TRUE(r.skipped) << r.stage;
+  // A repeat call, and a second library over the same store (the sweep's
+  // worker situation), replay the whole slice from artifacts.
+  const core::PpaEstimate b = scl1.evaluate(cfg, core::PerfSpec{});
+  const core::PpaEstimate c = scl2.evaluate(cfg, core::PerfSpec{});
+  for (const core::ArtifactTierStats& t : slice_tiers()) {
+    EXPECT_EQ(t.misses, 1u) << t.name;
+    EXPECT_EQ(t.hits, 2u) << t.name;
   }
-  EXPECT_EQ(a.power_uw, b.power_uw);
-  EXPECT_EQ(a.area_um2, b.area_um2);
-  EXPECT_EQ(a.fmax_mhz, b.fmax_mhz);
+  EXPECT_EQ(store->total_misses(), misses);
+  for (const core::PpaEstimate& p : {b, c}) {
+    EXPECT_EQ(a.power_uw, p.power_uw);
+    EXPECT_EQ(a.area_um2, p.area_um2);
+    EXPECT_EQ(a.fmax_mhz, p.fmax_mhz);
+  }
 }
 
 TEST(NetValidate, RoutesProblemsThroughDiagEngine) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "cell/characterize.hpp"
 #include "layout/floorplan.hpp"
@@ -150,6 +153,18 @@ TEST(Layout, DrcCatchesInjectedOverlap) {
   fp.gate_rects[1] = fp.gate_rects[0];  // force overlap
   const auto drc = layout::run_drc(b.flat, lib(), fp);
   EXPECT_FALSE(drc.clean());
+
+  // A pair whose intersection spans several 10 um spatial bins is still
+  // one violation, not one per shared bin.
+  fp.gate_rects[0].w = 25.0;
+  fp.gate_rects[1] = fp.gate_rects[0];
+  const auto wide = layout::run_drc(b.flat, lib(), fp);
+  EXPECT_EQ(std::count(wide.violations.begin(), wide.violations.end(),
+                       "overlap between gates 1 and 0"),
+            1);
+  const std::set<std::string> unique(wide.violations.begin(),
+                                     wide.violations.end());
+  EXPECT_EQ(unique.size(), wide.violations.size());
 }
 
 TEST(Layout, LvsCatchesFootprintMismatch) {

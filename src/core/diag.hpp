@@ -3,6 +3,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace syndcim::core {
@@ -81,7 +82,13 @@ class DiagEngine {
   std::vector<Diagnostic> diags_;
 };
 
-/// Escapes `s` for embedding in a JSON string literal.
-[[nodiscard]] std::string json_escape_string(const std::string& s);
+/// JSON string-literal escaping of `s` (no surrounding quotes), the one
+/// escaper every JSON writer in the tree uses: quote and backslash are
+/// escaped, `\b \f \n \r \t` take their RFC 8259 short forms, other
+/// control characters become `\u00XX`, and everything else passes
+/// through byte-for-byte (UTF-8 stays UTF-8). Escape/parse round-trips
+/// bytes exactly — what the serve protocol relies on to carry nested
+/// reports (frontier JSON, diagnostics) byte-identically.
+[[nodiscard]] std::string json_escape_string(std::string_view s);
 
 }  // namespace syndcim::core

@@ -6,9 +6,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
-#include "core/diag.hpp"
+#include "core/blob_store.hpp"
 #include "core/eval_backend.hpp"
 
 namespace syndcim::dse {
@@ -44,27 +45,37 @@ struct EvalCacheStats {
   /// Wall time spent inside miss-path evaluations.
   double miss_eval_ms = 0.0;
   std::size_t entries = 0;
-  std::size_t loaded = 0;    ///< entries imported from disk
-  std::size_t rejected = 0;  ///< malformed persisted entries refused
+  std::size_t loaded = 0;    ///< outcomes served from the blob store
+  std::size_t rejected = 0;  ///< stored outcomes that failed to decode
   [[nodiscard]] double hit_rate() const {
     const std::uint64_t total = hits + misses;
     return total > 0 ? static_cast<double>(hits) / total : 0.0;
   }
 };
 
+/// Blob-store key prefix of an eval cache over `lib`: "eval1|" + the
+/// library fingerprint + "|". Eval keys do not cover the cell library, so
+/// outcomes persisted under another library are never served.
+[[nodiscard]] std::string eval_store_prefix(const cell::Library& lib);
+
+/// Versioned binary record of all 13 `EvalOutcome` fields (doubles as
+/// raw IEEE-754 bits, so a round trip is bit-exact) — the payload of the
+/// blob store's `evals` tier. The decoder throws core::BinDecodeError on
+/// a wrong version, a truncated payload or trailing bytes.
+[[nodiscard]] std::string encode_eval_outcome(const core::EvalOutcome& o);
+[[nodiscard]] core::EvalOutcome decode_eval_outcome(std::string_view payload);
+
 /// Thread-safe content-hashed memoization of `EvalBackend::evaluate`.
 /// Sharded (key-hash chooses the shard) so concurrent lookups rarely
 /// contend; a miss marks the entry in-flight so that concurrent requests
 /// for the same key wait for the first computation instead of repeating
-/// it. Optionally persists to a JSON file so repeated sweeps start warm.
+/// it. With a blob store attached, outcomes persist across processes.
 class EvalCache {
  public:
-  EvalCache() = default;
+  /// Blob-store tier the outcomes persist under.
+  static constexpr const char* kStoreTier = "evals";
 
-  /// Hit returns the memoized outcome; nullopt otherwise (in-flight
-  /// entries count as absent — lookup never blocks).
-  [[nodiscard]] std::optional<core::EvalOutcome> lookup(
-      const std::string& key);
+  EvalCache() = default;
 
   /// Return the cached outcome for `key`, computing it with `compute` on
   /// a miss. Concurrent callers with the same key block until the first
@@ -73,28 +84,19 @@ class EvalCache {
       const std::string& key,
       const std::function<core::EvalOutcome()>& compute);
 
-  /// Insert (overwriting) without touching hit/miss counters.
-  void insert(const std::string& key, const core::EvalOutcome& outcome);
+  /// Persists outcomes in tier `evals` of `store` under `key_prefix` +
+  /// eval key, where `key_prefix` is eval_store_prefix() of the library
+  /// the outcomes are computed with. A miss reads the store first (while
+  /// the key is in flight): a decoded outcome counts as a hit and as
+  /// `loaded`, an undecodable one as `rejected` and is recomputed. Every
+  /// computed outcome is written straight through with `put`. Call
+  /// before concurrent use; nullptr detaches. `store` must outlive the
+  /// cache or a later detach.
+  void attach_blob_store(core::BlobStore* store, std::string key_prefix);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] EvalCacheStats stats() const;
   void reset_counters();
-
-  /// JSON persistence. Doubles are stored as hexfloat strings, so a
-  /// save/load round-trip is bit-exact. `load_json` merges into the
-  /// current contents and returns the number of entries read; it returns
-  /// 0 (not an error) if the file does not exist.
-  ///
-  /// The loader treats the file as untrusted: each entry must have the
-  /// exact field layout save_json writes (checked literal keys and field
-  /// counts) and every numeric field must round-trip as a finite number.
-  /// Truncated or corrupted entries are rejected — counted in
-  /// stats().rejected and reported through `diag` (rule CACHE-BADENTRY)
-  /// — and the scan resynchronizes on the next entry instead of silently
-  /// installing garbage PPA numbers or abandoning the rest of the file.
-  bool save_json(const std::string& path) const;
-  std::size_t load_json(const std::string& path,
-                        core::DiagEngine* diag = nullptr);
 
  private:
   static constexpr std::size_t kShards = 16;
@@ -114,7 +116,12 @@ class EvalCache {
     return shards_[fnv1a64(key) % kShards];
   }
 
+  /// The outcome the attached store holds for `key`, if it decodes.
+  std::optional<core::EvalOutcome> load_stored(const std::string& key);
+
   Shard shards_[kShards];
+  core::BlobStore* store_ = nullptr;
+  std::string store_prefix_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> inflight_waits_{0};

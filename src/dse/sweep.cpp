@@ -281,28 +281,25 @@ SweepReport run_sweep(const cell::Library& lib,
   EvalCache& cache =
       opt.shared_eval_cache != nullptr ? *opt.shared_eval_cache : own_cache;
   // Start-of-run snapshots: report/metric statistics stay per-run deltas
-  // even when the store/cache outlive this sweep. The cache snapshot
-  // precedes the warm-start load, so the delta counts the import.
+  // even when the store/cache outlive this sweep.
   const std::vector<core::ArtifactTierStats> store_before = store->stats();
   const EvalCacheStats cache_before = cache.stats();
-  if (opt.use_cache && opt.shared_eval_cache == nullptr &&
-      !opt.cache_path.empty()) {
-    (void)cache.load_json(opt.cache_path);
+
+  // Durable L2 under the private artifact store and the private eval
+  // cache: a second sweep over the same grid starts warm, and concurrent
+  // shard processes share the directory as their common cache. A
+  // caller-owned store or cache keeps whatever persistence its owner
+  // wired.
+  std::unique_ptr<core::DiskBlobStore> disk;
+  if (!opt.store_dir.empty() && opt.shared_store == nullptr) {
+    disk = std::make_unique<core::DiskBlobStore>(opt.store_dir);
+    store->attach_blob_store(disk.get());
+    own_cache.attach_blob_store(disk.get(), eval_store_prefix(lib));
   }
   CachedEvalBackend cached(raw, cache);
   core::EvalBackend& backend =
       opt.use_cache ? static_cast<core::EvalBackend&>(cached) : raw;
   core::MsoSearcher searcher(backend);
-
-  // Durable L2 under the private artifact store: a second sweep over the
-  // same grid starts warm, and concurrent shard processes share the
-  // directory as their common cache. A caller-owned store keeps whatever
-  // persistence its owner wired.
-  std::unique_ptr<core::DiskBlobStore> disk;
-  if (!opt.store_dir.empty() && opt.shared_store == nullptr) {
-    disk = std::make_unique<core::DiskBlobStore>(opt.store_dir);
-    store->attach_blob_store(disk.get());
-  }
 
   // Enumerate every (spec, trajectory) task up front; seeds are cheap.
   // Results land in preallocated slots so the merge below is independent
@@ -381,17 +378,6 @@ SweepReport run_sweep(const cell::Library& lib,
     lint_frontier_points(lib, rep.frontier, *store);
   }
 
-  if (opt.use_cache && opt.shared_eval_cache == nullptr &&
-      !opt.cache_path.empty()) {
-    if (!cache.save_json(opt.cache_path)) {
-      ++rep.cache_save_fails;
-      if (opt.diag != nullptr) {
-        opt.diag->warning("CACHE-SAVEFAIL",
-                          "failed to persist evaluation cache",
-                          opt.cache_path);
-      }
-    }
-  }
   if (disk != nullptr) {
     // Drain makes the run durable: dirty L1 entries become L2 objects,
     // so the next invocation (or another shard) starts warm.
@@ -531,8 +517,7 @@ std::string sweep_report_json(const SweepReport& r) {
      << ", \"miss_eval_ms\": " << jnum(r.cache.miss_eval_ms)
      << ", \"entries\": " << r.cache.entries
      << ", \"loaded\": " << r.cache.loaded
-     << ", \"rejected\": " << r.cache.rejected
-     << ", \"save_fails\": " << r.cache_save_fails << "}"
+     << ", \"rejected\": " << r.cache.rejected << "}"
      << ",\n  \"artifacts\": {\"hits\": " << r.artifact_hits()
      << ", \"misses\": " << r.artifact_misses() << ", \"tiers\": [";
   for (std::size_t i = 0; i < r.artifacts.size(); ++i) {

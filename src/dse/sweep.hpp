@@ -38,7 +38,6 @@ struct SweepGrid {
 struct SweepOptions {
   int threads = 0;         ///< <= 0: hardware concurrency
   bool use_cache = true;   ///< memoize evaluations across specs/trajectories
-  std::string cache_path;  ///< warm-start/persist JSON (empty: in-memory)
   /// Second, finer cache tier under the whole-config evaluation cache:
   /// the content-addressed subcircuit-artifact store shared by every
   /// worker. A one-knob config delta misses the whole-config tier but
@@ -57,8 +56,8 @@ struct SweepOptions {
   core::ArtifactStore* shared_store = nullptr;
   /// Long-lived whole-config evaluation cache to memoize through instead
   /// of a sweep-private one (nullptr = private; only read when
-  /// `use_cache`). `cache_path` load/save is skipped for a shared cache —
-  /// its owner decides persistence.
+  /// `use_cache`). A shared cache is never attached to `store_dir` — its
+  /// owner decides persistence.
   EvalCache* shared_eval_cache = nullptr;
   /// Cooperative cancellation: checked before every (spec, trajectory)
   /// task and before the frontier lint. A tripped token makes the sweep
@@ -68,9 +67,11 @@ struct SweepOptions {
   const core::CancelToken* cancel = nullptr;
   /// Durable on-disk artifact store directory (core::DiskBlobStore).
   /// When set (and no shared_store is adopted), the sweep's artifact
-  /// store reads through and writes back to this directory, so a second
-  /// invocation over the same grid starts warm — and concurrent shard
-  /// processes share it as their common cache. Empty = in-memory only.
+  /// store reads through and writes back to this directory, and its
+  /// private eval cache persists every outcome there (tier `evals`), so
+  /// a second invocation over the same grid starts warm — and concurrent
+  /// shard processes share it as their common cache. Empty = in-memory
+  /// only.
   std::string store_dir;
   /// Deterministic multi-process partition of the spec grid: this run
   /// evaluates only the specs whose global index i satisfies
@@ -79,9 +80,9 @@ struct SweepOptions {
   /// single-process run. shard_count <= 1 = no sharding.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Sink for persistence findings (CACHE-SAVEFAIL when the eval-cache
-  /// JSON cannot be written, CACHE-* from the on-disk store). nullptr =
-  /// counted in the report but not reported as diagnostics.
+  /// Sink for persistence findings (CACHE-* from the on-disk store).
+  /// nullptr = counted in the store statistics but not reported as
+  /// diagnostics.
   core::DiagEngine* diag = nullptr;
 };
 
@@ -132,9 +133,6 @@ struct SweepReport {
   /// the frontier cover only the tasks that finished, and the frontier
   /// was not linted.
   bool cancelled = false;
-  /// Eval-cache persistence failures (save_json returning false); also
-  /// reported as CACHE-SAVEFAIL through SweepOptions::diag.
-  std::size_t cache_save_fails = 0;
   /// On-disk store statistics JSON (DiskBlobStore::stats_json) when
   /// SweepOptions::store_dir was used; empty otherwise.
   std::string store_json;

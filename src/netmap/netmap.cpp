@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/diag.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
 
@@ -542,7 +543,7 @@ NetmapResult run_netmap(const Model& model,
 std::string netmap_report_json(const NetmapResult& r) {
   std::ostringstream os;
   const auto jstr = [](const std::string& s) {
-    return "\"" + serve::json_escape(s) + "\"";
+    return "\"" + core::json_escape_string(s) + "\"";
   };
   const long macs = r.model.total_macs();
   os << "{\n  \"format\": \"syndcim-netmap\",\n  \"version\": 1"

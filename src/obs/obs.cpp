@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/diag.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -44,32 +46,6 @@ long peak_rss_kb() {
 }
 
 namespace {
-
-/// Minimal JSON string escaping (obs is dependency-free by design, so it
-/// does not reuse core/diag's escaper).
-std::string jesc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string jnum(double v) {
   char buf[64];
@@ -189,15 +165,16 @@ std::string Tracer::to_json() const {
       first = false;
       os << "    {\"ph\": \"M\", \"pid\": 1, \"tid\": " << buf->tid
          << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-         << jesc(buf->thread_name) << "\"}}";
+         << core::json_escape_string(buf->thread_name) << "\"}}";
     }
   }
   for (const RecordedSpan& s : spans) {
     if (!first) os << ",\n";
     first = false;
     os << "    {\"ph\": \"X\", \"pid\": 1, \"tid\": " << s.tid
-       << ", \"name\": \"" << jesc(s.ev.name) << "\", \"ts\": "
-       << jus(s.ev.start_ns) << ", \"dur\": " << jus(s.ev.dur_ns) << "}";
+       << ", \"name\": \"" << core::json_escape_string(s.ev.name)
+       << "\", \"ts\": " << jus(s.ev.start_ns)
+       << ", \"dur\": " << jus(s.ev.dur_ns) << "}";
   }
   os << "\n  ]\n}\n";
   return os.str();
@@ -300,19 +277,21 @@ std::string MetricsRegistry::to_json() const {
   os << "{\n  \"format\": \"syndcim-metrics\",\n  \"version\": 1,\n"
      << "  \"counters\": {";
   for (std::size_t i = 0; i < counters_.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << "\"" << jesc(counters_[i].first)
+    os << (i ? ",\n    " : "\n    ") << "\""
+       << core::json_escape_string(counters_[i].first)
        << "\": " << counters_[i].second->value();
   }
   os << (counters_.empty() ? "}" : "\n  }") << ",\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << "\"" << jesc(gauges_[i].first)
+    os << (i ? ",\n    " : "\n    ") << "\""
+       << core::json_escape_string(gauges_[i].first)
        << "\": " << jnum(gauges_[i].second->value());
   }
   os << (gauges_.empty() ? "}" : "\n  }") << ",\n  \"histograms\": {";
   for (std::size_t i = 0; i < hists_.size(); ++i) {
     const Histogram& h = *hists_[i].second;
-    os << (i ? ",\n    " : "\n    ") << "\"" << jesc(hists_[i].first)
-       << "\": {\"bounds\": [";
+    os << (i ? ",\n    " : "\n    ") << "\""
+       << core::json_escape_string(hists_[i].first) << "\": {\"bounds\": [";
     for (std::size_t b = 0; b < h.bounds().size(); ++b) {
       os << (b ? ", " : "") << jnum(h.bounds()[b]);
     }
@@ -357,7 +336,7 @@ std::string PhaseTimeline::to_json() const {
   os << "[";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const Phase& p = phases[i];
-    os << (i ? ", " : "") << "{\"name\": \"" << jesc(p.name)
+    os << (i ? ", " : "") << "{\"name\": \"" << core::json_escape_string(p.name)
        << "\", \"start_ms\": " << jnum(p.start_ms)
        << ", \"dur_ms\": " << jnum(p.dur_ms)
        << ", \"rss_peak_kb\": " << p.rss_peak_kb << "}";

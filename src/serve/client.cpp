@@ -9,6 +9,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "core/diag.hpp"
+
 namespace syndcim::serve {
 
 namespace {
@@ -20,8 +22,8 @@ std::string build_request(int id, const std::string& method,
                           const std::string& extra_string_value,
                           double deadline_ms) {
   std::ostringstream os;
-  os << "{\"id\": \"" << id << "\", \"method\": \"" << json_escape(method)
-     << "\"";
+  os << "{\"id\": \"" << id << "\", \"method\": \""
+     << core::json_escape_string(method) << "\"";
   if (deadline_ms > 0) {
     os << ", \"deadline_ms\": " << json_number(deadline_ms);
   }
@@ -30,12 +32,13 @@ std::string build_request(int id, const std::string& method,
   for (const auto& [k, v] : params) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << json_escape(k) << "\": \"" << json_escape(v) << "\"";
+    os << "\"" << core::json_escape_string(k) << "\": \""
+       << core::json_escape_string(v) << "\"";
   }
   if (!extra_key.empty()) {
     if (!first) os << ", ";
-    os << "\"" << json_escape(extra_key) << "\": \""
-       << json_escape(extra_string_value) << "\"";
+    os << "\"" << core::json_escape_string(extra_key) << "\": \""
+       << core::json_escape_string(extra_string_value) << "\"";
   }
   os << "}}";
   return os.str();

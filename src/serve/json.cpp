@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/diag.hpp"
+
 namespace syndcim::serve {
 
 namespace {
@@ -261,7 +263,7 @@ void dump_value(const JsonValue& v, std::ostringstream& os) {
     case JsonValue::Kind::kBool: os << (v.as_bool() ? "true" : "false"); break;
     case JsonValue::Kind::kNumber: os << json_number(v.as_number()); break;
     case JsonValue::Kind::kString:
-      os << '"' << json_escape(v.as_string()) << '"';
+      os << '"' << core::json_escape_string(v.as_string()) << '"';
       break;
     case JsonValue::Kind::kArray: {
       os << '[';
@@ -278,7 +280,7 @@ void dump_value(const JsonValue& v, std::ostringstream& os) {
       for (const auto& [k, m] : v.members()) {
         if (!first) os << ", ";
         first = false;
-        os << '"' << json_escape(k) << "\": ";
+        os << '"' << core::json_escape_string(k) << "\": ";
         dump_value(m, os);
       }
       os << '}';
@@ -328,32 +330,6 @@ bool json_parse(std::string_view text, JsonValue* out, std::string* err) {
   }
   *out = std::move(v);
   return true;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string json_number(double v) {

@@ -108,13 +108,6 @@ class JsonValue {
 [[nodiscard]] bool json_parse(std::string_view text, JsonValue* out,
                               std::string* err);
 
-/// JSON string-literal escaping of `s` (no surrounding quotes): control
-/// characters, quote and backslash become escapes, everything else is
-/// passed through byte-for-byte (UTF-8 stays UTF-8). Escape/parse
-/// round-trips bytes exactly — what the protocol relies on to carry
-/// nested reports (frontier JSON, diagnostics) byte-identically.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// Shortest round-trip decimal rendering of a double (integers print
 /// without exponent/decimal point).
 [[nodiscard]] std::string json_number(double v);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/diag.hpp"
+
 namespace syndcim::serve {
 
 bool parse_request(const std::string& line, Request* out, std::string* err) {
@@ -61,7 +63,7 @@ namespace {
 std::string response_head(const std::string& id) {
   return std::string("{\"proto\": \"") + kProtoName +
          "\", \"version\": " + std::to_string(kProtoVersion) +
-         ", \"id\": \"" + json_escape(id) + "\"";
+         ", \"id\": \"" + core::json_escape_string(id) + "\"";
 }
 }  // namespace
 
@@ -74,8 +76,8 @@ std::string ok_response(const std::string& id,
 std::string error_response(const std::string& id, int code,
                            const std::string& reason) {
   return response_head(id) + ", \"status\": \"error\", \"error\": {\"code\": " +
-         std::to_string(code) + ", \"reason\": \"" + json_escape(reason) +
-         "\"}}";
+         std::to_string(code) + ", \"reason\": \"" +
+         core::json_escape_string(reason) + "\"}}";
 }
 
 }  // namespace syndcim::serve

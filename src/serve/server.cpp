@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "core/compiler.hpp"
+#include "core/diag.hpp"
 #include "core/spec.hpp"
 #include "dse/sweep.hpp"
 #include "lint/lint.hpp"
@@ -107,6 +108,7 @@ Server::Server(const cell::Library& lib, ServerOptions opt)
   if (!opt_.store_dir.empty()) {
     disk_ = std::make_unique<core::DiskBlobStore>(opt_.store_dir);
     store_->attach_blob_store(disk_.get());
+    eval_cache_.attach_blob_store(disk_.get(), dse::eval_store_prefix(lib_));
   }
 }
 
@@ -360,7 +362,7 @@ std::string Server::handle_compile(const Request& req,
           for (std::size_t i = 0; i < res.pareto.size(); ++i) {
             const auto& p = res.pareto[i];
             if (i) os << ", ";
-            os << "{\"label\": \"" << json_escape(p.label)
+            os << "{\"label\": \"" << core::json_escape_string(p.label)
                << "\", \"feasible\": " << bool_json(p.feasible)
                << ", \"power_uw\": " << json_number(p.ppa.power_uw)
                << ", \"area_um2\": " << json_number(p.ppa.area_um2)
@@ -377,7 +379,7 @@ std::string Server::handle_compile(const Request& req,
           }
           const double total = static_cast<double>(runs + skips);
           os << "{\"search_only\": false, \"selected\": \""
-             << json_escape(result.selected.label)
+             << core::json_escape_string(result.selected.label)
              << "\", \"pareto_size\": " << result.search.pareto.size()
              << ", \"fmax_mhz\": " << json_number(result.impl.fmax_mhz)
              << ", \"area_mm2\": " << json_number(result.impl.macro_area_mm2)
@@ -444,9 +446,9 @@ std::string Server::handle_sweep(const Request& req,
            << ", \"evicted\": " << store_->total_evicted()
            << "}, \"skip_pct\": " << json_number(skip_pct)
            << ", \"frontier_json\": \""
-           << json_escape(dse::sweep_frontier_json(rep))
+           << core::json_escape_string(dse::sweep_frontier_json(rep))
            << "\", \"report_json\": \""
-           << json_escape(dse::sweep_report_json(rep)) << "\"}";
+           << core::json_escape_string(dse::sweep_report_json(rep)) << "\"}";
         return os.str();
       },
       &leader, token);
@@ -531,7 +533,8 @@ std::string Server::handle_netmap(const Request& req,
            << ", \"homog_valid\": " << bool_json(res.homog.valid)
            << ", \"homog_energy_pj\": " << json_number(res.homog.energy_pj)
            << ", \"report_json\": \""
-           << json_escape(netmap::netmap_report_json(res)) << "\"}";
+           << core::json_escape_string(netmap::netmap_report_json(res))
+           << "\"}";
         return os.str();
       },
       &leader, token);
@@ -605,8 +608,9 @@ std::string Server::handle_lint(const Request& req) {
   os << "{\"errors\": " << diag.error_count()
      << ", \"warnings\": " << diag.warning_count()
      << ", \"clean\": " << bool_json(!diag.has_errors()) << ", \"summary\": \""
-     << json_escape(diag.summary()) << "\", \"diagnostics_json\": \""
-     << json_escape(diag.to_json()) << "\"}";
+     << core::json_escape_string(diag.summary())
+     << "\", \"diagnostics_json\": \""
+     << core::json_escape_string(diag.to_json()) << "\"}";
   return os.str();
 }
 
@@ -615,10 +619,13 @@ std::string Server::handle_metrics() {
       static_cast<double>(in_flight_.load()));
   store_->publish_metrics("serve.artifact");
   std::ostringstream os;
-  os << "{\"metrics_json\": \"" << json_escape(obs::metrics().to_json())
-     << "\", \"artifact_store_json\": \"" << json_escape(store_->stats_json())
+  os << "{\"metrics_json\": \""
+     << core::json_escape_string(obs::metrics().to_json())
+     << "\", \"artifact_store_json\": \""
+     << core::json_escape_string(store_->stats_json())
      << "\", \"blob_store_json\": \""
-     << json_escape(disk_ != nullptr ? disk_->stats_json() : std::string())
+     << core::json_escape_string(disk_ != nullptr ? disk_->stats_json()
+                                                  : std::string())
      << "\"}";
   return os.str();
 }
@@ -650,7 +657,7 @@ std::string Server::handle_status() {
              << ", \"l2_writes\": " << l2_writes;
   if (disk_ != nullptr) {
     const core::DiskStoreStats ds = disk_->stats();
-    store_json << ", \"root\": \"" << json_escape(disk_->root())
+    store_json << ", \"root\": \"" << core::json_escape_string(disk_->root())
                << "\", \"usable\": " << bool_json(disk_->usable())
                << ", \"objects_read\": " << ds.objects_read
                << ", \"objects_written\": " << ds.objects_written

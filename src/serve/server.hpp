@@ -56,10 +56,11 @@ struct ServerOptions {
   std::string trace_path;    ///< Chrome trace JSON flushed on drain
   std::string metrics_path;  ///< metrics registry JSON flushed on drain
   /// Durable artifact store directory (core::DiskBlobStore). When set,
-  /// the process-wide ArtifactStore reads through and writes back to it:
-  /// a restarted daemon answers its first repeated request from L2
-  /// instead of recomputing. Drain flushes every dirty artifact before
-  /// exit. Empty = in-memory only (restarts are cold).
+  /// the process-wide ArtifactStore reads through and writes back to it
+  /// and the eval cache writes every outcome through to it: a restarted
+  /// daemon answers its first repeated request from L2 instead of
+  /// recomputing. Drain flushes every dirty artifact before exit.
+  /// Empty = in-memory only (restarts are cold).
   std::string store_dir;
 };
 

@@ -2,9 +2,10 @@
 // integrity (atomic publish, corrupt/truncated rejection with CACHE-*
 // diagnostics, cross-process sharing), round-trip bit-identity of every
 // tier payload codec, the ArtifactStore L1/L2 read-through + write-back
-// protocol, warm-restart sweep equivalence (cold frontier JSON == warm
-// frontier JSON), and shard-merge byte-identity against a single-process
-// sweep.
+// protocol, eval outcomes persisted in the same store (served warm,
+// rejected when undecodable, never shared across cell libraries),
+// warm-restart sweep equivalence (cold frontier JSON == warm frontier
+// JSON), and shard-merge byte-identity against a single-process sweep.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -20,6 +21,7 @@
 #include "core/diag.hpp"
 #include "core/diskstore.hpp"
 #include "core/stage.hpp"
+#include "dse/eval_cache.hpp"
 #include "dse/shard.hpp"
 #include "dse/sweep.hpp"
 #include "layout/floorplan.hpp"
@@ -136,6 +138,34 @@ const PipelinePayloads& payloads() {
   return p;
 }
 
+/// Awkward values for a bit-exact round trip: a fraction decimal cannot
+/// represent, tiny and huge magnitudes, and mixed timing flags.
+core::EvalOutcome awkward_outcome() {
+  core::EvalOutcome o;
+  o.ppa.fmax_mhz = 1.0 / 3.0;
+  o.ppa.write_fmax_mhz = 123.456789;
+  o.ppa.power_uw = 1e-30;
+  o.ppa.area_um2 = 98765.4321;
+  o.ppa.energy_per_mac_fj = 2.5e17;
+  o.ppa.tops_1b = 0.0625;
+  o.ppa.latency_cycles = 7;
+  o.timing.mac_period_ps = 3333.333333333;
+  o.timing.ofu_period_ps = 1.7e-4;
+  o.timing.write_period_ps = 250.0;
+  o.timing.mac_ok = true;
+  o.timing.ofu_ok = false;
+  o.timing.write_ok = true;
+  return o;
+}
+
+/// The `"write_fails": N` count of a DiskBlobStore::stats_json string.
+std::uint64_t store_write_fails(const std::string& store_json) {
+  const std::string field = "\"write_fails\": ";
+  const std::size_t at = store_json.find(field);
+  if (at == std::string::npos) return 0;
+  return std::stoull(store_json.substr(at + field.size()));
+}
+
 std::uint64_t sum_l2_hits(const std::vector<core::ArtifactTierStats>& tiers) {
   std::uint64_t n = 0;
   for (const auto& t : tiers) n += t.l2_hits;
@@ -248,6 +278,26 @@ TEST(ArtifactCodec, PowerArtifactRoundTripsBitIdentical) {
   EXPECT_EQ(back.power.total_uw(), p.power.power.total_uw());
 }
 
+TEST(ArtifactCodec, EvalOutcomeRoundTripsBitIdentical) {
+  const core::EvalOutcome o = awkward_outcome();
+  const std::string bytes = dse::encode_eval_outcome(o);
+  const core::EvalOutcome back = dse::decode_eval_outcome(bytes);
+  EXPECT_EQ(dse::encode_eval_outcome(back), bytes);
+  EXPECT_EQ(back.ppa.fmax_mhz, o.ppa.fmax_mhz);
+  EXPECT_EQ(back.ppa.write_fmax_mhz, o.ppa.write_fmax_mhz);
+  EXPECT_EQ(back.ppa.power_uw, o.ppa.power_uw);
+  EXPECT_EQ(back.ppa.area_um2, o.ppa.area_um2);
+  EXPECT_EQ(back.ppa.energy_per_mac_fj, o.ppa.energy_per_mac_fj);
+  EXPECT_EQ(back.ppa.tops_1b, o.ppa.tops_1b);
+  EXPECT_EQ(back.ppa.latency_cycles, o.ppa.latency_cycles);
+  EXPECT_EQ(back.timing.mac_period_ps, o.timing.mac_period_ps);
+  EXPECT_EQ(back.timing.ofu_period_ps, o.timing.ofu_period_ps);
+  EXPECT_EQ(back.timing.write_period_ps, o.timing.write_period_ps);
+  EXPECT_EQ(back.timing.mac_ok, o.timing.mac_ok);
+  EXPECT_EQ(back.timing.ofu_ok, o.timing.ofu_ok);
+  EXPECT_EQ(back.timing.write_ok, o.timing.write_ok);
+}
+
 TEST(ArtifactCodec, DecodersRejectTruncatedAndTrailingBytes) {
   const auto& p = payloads();
   const std::string bytes = core::encode_timing_artifact(p.timing);
@@ -260,6 +310,16 @@ TEST(ArtifactCodec, DecodersRejectTruncatedAndTrailingBytes) {
         << "cut at " << cut;
   }
   EXPECT_THROW((void)core::decode_timing_artifact(bytes + "x"),
+               core::BinDecodeError);
+
+  const std::string eval = dse::encode_eval_outcome(awkward_outcome());
+  for (std::size_t cut = 0; cut < eval.size(); ++cut) {
+    EXPECT_THROW(
+        (void)dse::decode_eval_outcome(std::string_view(eval).substr(0, cut)),
+        core::BinDecodeError)
+        << "eval outcome cut at " << cut;
+  }
+  EXPECT_THROW((void)dse::decode_eval_outcome(eval + "x"),
                core::BinDecodeError);
 }
 
@@ -475,6 +535,11 @@ TEST(SweepPersistence, WarmRestartIsByteIdenticalAndServedFromL2) {
   EXPECT_EQ(dse::sweep_frontier_json(warm), dse::sweep_frontier_json(cold));
   EXPECT_GT(sum_l2_hits(warm.artifacts), 0u);
   EXPECT_GT(warm.artifact_hits(), 0u);
+  // Every evaluation the cold run computed is served from the store.
+  EXPECT_GT(cold.cache.misses, 0u);
+  EXPECT_EQ(warm.cache.misses, 0u);
+  EXPECT_EQ(warm.cache.loaded, cold.cache.misses);
+  EXPECT_EQ(warm.cache.rejected, 0u);
 
   // And the persisted path changes nothing about the results themselves:
   // a plain in-memory sweep has the same frontier bytes.
@@ -484,24 +549,79 @@ TEST(SweepPersistence, WarmRestartIsByteIdenticalAndServedFromL2) {
   EXPECT_EQ(dse::sweep_frontier_json(plain), dse::sweep_frontier_json(cold));
 }
 
-TEST(SweepPersistence, CacheSaveFailureIsCountedAndDiagnosed) {
+TEST(SweepPersistence, UndecodableEvalObjectIsRecomputed) {
+  const std::vector<core::PerfSpec> specs = {small_spec()};
+  dse::SweepOptions mem;
+  mem.threads = 2;
+  const dse::SweepReport plain = dse::run_sweep(test_library(), specs, mem);
+  ASSERT_FALSE(plain.frontier.empty());
+
+  // Plant junk where the first frontier point's outcome would persist.
+  const std::string root = fresh_root("sweep_bad_eval");
+  {
+    core::DiskBlobStore disk(root);
+    const core::DesignPoint& p = plain.frontier.front().point;
+    ASSERT_TRUE(disk.put(dse::EvalCache::kStoreTier,
+                         dse::eval_store_prefix(test_library()) +
+                             dse::eval_key(p.cfg, specs[0]),
+                         "not an eval outcome"));
+  }
+  dse::SweepOptions opt = mem;
+  opt.store_dir = root;
+  const dse::SweepReport rep = dse::run_sweep(test_library(), specs, opt);
+  EXPECT_EQ(rep.cache.rejected, 1u);
+  EXPECT_EQ(rep.cache.loaded, 0u);
+  EXPECT_EQ(rep.cache.misses, plain.cache.misses)
+      << "the rejected outcome must be recomputed, like every other";
+  EXPECT_EQ(dse::sweep_frontier_json(rep), dse::sweep_frontier_json(plain));
+}
+
+TEST(SweepPersistence, StoreFromAnotherLibraryServesNoEvals) {
+  tech::TechNode node = tech::make_default_40nm();
+  node.unit_leak_nw *= 1.5;
+  const cell::Library other = cell::characterize_default_library(node);
+  ASSERT_NE(other.fingerprint(), test_library().fingerprint());
+
+  const std::string root = fresh_root("sweep_other_lib");
   const std::vector<core::PerfSpec> specs = {small_spec()};
   dse::SweepOptions opt;
   opt.threads = 2;
-  // A cache path whose parent directory cannot exist: save_json fails.
+  opt.store_dir = root;
+  const dse::SweepReport filled = dse::run_sweep(other, specs, opt);
+  EXPECT_GT(filled.cache.misses, 0u);
+
+  const dse::SweepReport rep = dse::run_sweep(test_library(), specs, opt);
+  EXPECT_EQ(rep.cache.loaded, 0u);
+  EXPECT_EQ(rep.cache.rejected, 0u);
+  EXPECT_GT(rep.cache.misses, 0u);
+}
+
+TEST(SweepPersistence, UnusableStoreDirStillCompletesAndIsDiagnosed) {
+  const std::vector<core::PerfSpec> specs = {small_spec()};
+  dse::SweepOptions mem;
+  mem.threads = 2;
+  const dse::SweepReport plain = dse::run_sweep(test_library(), specs, mem);
+
+  // A store root that is a regular file cannot hold objects/: every get
+  // misses and every put fails.
   const std::string file = fresh_root("not_a_dir");
   { std::ofstream f(file); f << "occupied"; }
-  opt.cache_path = file + "/cache.json";
+  dse::SweepOptions opt = mem;
+  opt.store_dir = file;
   core::DiagEngine diag;
   opt.diag = &diag;
 
   const dse::SweepReport rep = dse::run_sweep(test_library(), specs, opt);
-  EXPECT_EQ(rep.cache_save_fails, 1u);
+  EXPECT_EQ(dse::sweep_frontier_json(rep), dse::sweep_frontier_json(plain));
+  EXPECT_EQ(rep.cache.loaded, 0u);
+  // Each computed outcome's write-through failed, and so did the flush.
+  EXPECT_GT(rep.cache.misses, 0u);
+  EXPECT_GT(store_write_fails(rep.store_json), rep.cache.misses);
   bool found = false;
-  for (const auto& d : diag.diags()) found = found || d.rule == "CACHE-SAVEFAIL";
+  for (const auto& d : diag.diags()) {
+    found = found || d.rule.rfind("CACHE-", 0) == 0;
+  }
   EXPECT_TRUE(found);
-  EXPECT_NE(dse::sweep_report_json(rep).find("\"save_fails\": 1"),
-            std::string::npos);
 }
 
 TEST(ShardedSweep, ShardOwnsPartitionsExactly) {

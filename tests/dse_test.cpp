@@ -6,14 +6,14 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cell/characterize.hpp"
+#include "core/diskstore.hpp"
 #include "core/searcher.hpp"
 #include "dse/eval_cache.hpp"
 #include "dse/pool.hpp"
@@ -220,11 +220,33 @@ TEST(EvalCache, HitMissAccounting) {
   EXPECT_GE(cache.stats().miss_eval_ms, 0.0);
 }
 
-TEST(EvalCache, DiskRoundTrip) {
-  const std::string path = "dse_cache_roundtrip_test.json";
-  std::remove(path.c_str());
+namespace {
 
-  dse::EvalCache cache;
+/// Empty scratch root for one test's disk store.
+std::string fresh_store(const std::string& name) {
+  const std::string root = ::testing::TempDir() + "syndcim_evalcache_" + name;
+  std::filesystem::remove_all(root);
+  return root;
+}
+
+core::EvalOutcome sample_outcome(double power) {
+  core::EvalOutcome o;
+  o.ppa.fmax_mhz = 400.0;
+  o.ppa.power_uw = power;
+  o.ppa.area_um2 = 1234.5;
+  o.ppa.latency_cycles = 3;
+  o.timing.mac_ok = true;
+  return o;
+}
+
+}  // namespace
+
+TEST(EvalCache, DiskRoundTrip) {
+  // Outcomes written through one cache are served bit-exact, without
+  // recomputing, to a fresh cache over a fresh store on the same root —
+  // what a later process sees.
+  const std::string root = fresh_store("roundtrip");
+  const std::string prefix = dse::eval_store_prefix(test_library());
   core::EvalOutcome o1;
   o1.ppa.fmax_mhz = 1.0 / 3.0;  // not exactly representable in decimal
   o1.ppa.write_fmax_mhz = 123.456789;
@@ -242,147 +264,168 @@ TEST(EvalCache, DiskRoundTrip) {
   core::EvalOutcome o2 = o1;
   o2.ppa.power_uw = 77.0;
   o2.timing.mac_ok = false;
-  cache.insert("cfg{alpha}|spec{a}", o1);
-  cache.insert("cfg{beta}|spec{b}", o2);
-  ASSERT_TRUE(cache.save_json(path));
+  {
+    core::DiskBlobStore disk(root);
+    dse::EvalCache cache;
+    cache.attach_blob_store(&disk, prefix);
+    (void)cache.get_or_compute("cfg{alpha}|spec{a}", [&] { return o1; });
+    (void)cache.get_or_compute("cfg{beta}|spec{b}", [&] { return o2; });
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(disk.stats().objects_written, 2u);
+  }
 
+  core::DiskBlobStore disk(root);
   dse::EvalCache loaded;
-  ASSERT_EQ(loaded.load_json(path), 2u);
+  loaded.attach_blob_store(&disk, prefix);
+  int computed = 0;
+  const auto recompute = [&] {
+    ++computed;
+    return core::EvalOutcome{};
+  };
+  expect_same_outcome(loaded.get_or_compute("cfg{alpha}|spec{a}", recompute),
+                      o1, "alpha");
+  expect_same_outcome(loaded.get_or_compute("cfg{beta}|spec{b}", recompute),
+                      o2, "beta");
+  EXPECT_EQ(computed, 0);
+  dse::EvalCacheStats st = loaded.stats();
+  EXPECT_EQ(st.loaded, 2u);
+  EXPECT_EQ(st.hits, 2u);
+  EXPECT_EQ(st.misses, 0u);
+  EXPECT_EQ(st.entries, 2u);
+
+  // A repeat is served from memory, not read from the store again.
+  (void)loaded.get_or_compute("cfg{alpha}|spec{a}", recompute);
   EXPECT_EQ(loaded.stats().loaded, 2u);
-  const auto r1 = loaded.lookup("cfg{alpha}|spec{a}");
-  ASSERT_TRUE(r1.has_value());
-  EXPECT_EQ(r1->ppa.fmax_mhz, o1.ppa.fmax_mhz);
-  EXPECT_EQ(r1->ppa.write_fmax_mhz, o1.ppa.write_fmax_mhz);
-  EXPECT_EQ(r1->ppa.power_uw, o1.ppa.power_uw);
-  EXPECT_EQ(r1->ppa.area_um2, o1.ppa.area_um2);
-  EXPECT_EQ(r1->ppa.energy_per_mac_fj, o1.ppa.energy_per_mac_fj);
-  EXPECT_EQ(r1->ppa.tops_1b, o1.ppa.tops_1b);
-  EXPECT_EQ(r1->ppa.latency_cycles, o1.ppa.latency_cycles);
-  EXPECT_EQ(r1->timing.mac_period_ps, o1.timing.mac_period_ps);
-  EXPECT_EQ(r1->timing.ofu_period_ps, o1.timing.ofu_period_ps);
-  EXPECT_EQ(r1->timing.write_period_ps, o1.timing.write_period_ps);
-  EXPECT_EQ(r1->timing.mac_ok, o1.timing.mac_ok);
-  EXPECT_EQ(r1->timing.ofu_ok, o1.timing.ofu_ok);
-  EXPECT_EQ(r1->timing.write_ok, o1.timing.write_ok);
-  const auto r2 = loaded.lookup("cfg{beta}|spec{b}");
-  ASSERT_TRUE(r2.has_value());
-  EXPECT_EQ(r2->ppa.power_uw, o2.ppa.power_uw);
-  EXPECT_FALSE(r2->timing.mac_ok);
+  EXPECT_EQ(disk.stats().objects_read, 2u);
 
-  EXPECT_EQ(dse::EvalCache{}.load_json("does_not_exist.json"), 0u);
-  std::remove(path.c_str());
+  // A key the store never saw is a plain miss, as is a stored key under
+  // another library's prefix.
+  (void)loaded.get_or_compute("cfg{gamma}|spec{c}", recompute);
+  dse::EvalCache other;
+  other.attach_blob_store(&disk, "eval1|another-library|");
+  (void)other.get_or_compute("cfg{alpha}|spec{a}", recompute);
+  EXPECT_EQ(computed, 2);
+  st = loaded.stats();
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.loaded, 2u);
+  EXPECT_EQ(other.stats().loaded, 0u);
+  EXPECT_EQ(other.stats().rejected, 0u);
+  std::filesystem::remove_all(root);
 }
-
-namespace {
-
-core::EvalOutcome sample_outcome(double power) {
-  core::EvalOutcome o;
-  o.ppa.fmax_mhz = 400.0;
-  o.ppa.power_uw = power;
-  o.ppa.area_um2 = 1234.5;
-  o.ppa.latency_cycles = 3;
-  o.timing.mac_ok = true;
-  return o;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream f(path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
-void spit(const std::string& path, const std::string& text) {
-  std::ofstream f(path);
-  f << text;
-}
-
-}  // namespace
 
 TEST(EvalCache, CorruptedEntryIsRejectedAndCountedNotInstalled) {
-  const std::string path = "dse_cache_corrupt_test.json";
-  std::remove(path.c_str());
-  dse::EvalCache cache;
-  cache.insert("cfg{good1}|spec{x}", sample_outcome(1.0));
-  cache.insert("cfg{victim}|spec{x}", sample_outcome(2.0));
-  cache.insert("cfg{good2}|spec{x}", sample_outcome(3.0));
-  ASSERT_TRUE(cache.save_json(path));
-
-  // Mangle the first PPA number of the victim entry only.
-  std::string text = slurp(path);
-  const std::size_t at = text.find("cfg{victim}|spec{x}");
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t vbegin = text.find("\"ppa\": [\"", at) + 9;
-  const std::size_t vend = text.find('"', vbegin);
-  text.replace(vbegin, vend - vbegin, "banana");
-  spit(path, text);
+  const std::string root = fresh_store("corrupt");
+  const std::string prefix = dse::eval_store_prefix(test_library());
+  core::DiskBlobStore disk(root);
+  // The victim's stored bytes are not an eval outcome; its neighbours'
+  // are written through a cache.
+  ASSERT_TRUE(disk.put(dse::EvalCache::kStoreTier,
+                       prefix + "cfg{victim}|spec{x}", "banana"));
+  {
+    dse::EvalCache cache;
+    cache.attach_blob_store(&disk, prefix);
+    (void)cache.get_or_compute("cfg{good1}|spec{x}",
+                               [] { return sample_outcome(1.0); });
+    (void)cache.get_or_compute("cfg{good2}|spec{x}",
+                               [] { return sample_outcome(3.0); });
+  }
 
   dse::EvalCache loaded;
-  core::DiagEngine diag;
-  EXPECT_EQ(loaded.load_json(path, &diag), 2u);
+  loaded.attach_blob_store(&disk, prefix);
+  int computed = 0;
+  const auto recompute = [&] {
+    ++computed;
+    return sample_outcome(20.0);
+  };
+  EXPECT_EQ(loaded.get_or_compute("cfg{good1}|spec{x}", recompute)
+                .ppa.power_uw,
+            1.0);
+  EXPECT_EQ(loaded.get_or_compute("cfg{victim}|spec{x}", recompute)
+                .ppa.power_uw,
+            20.0)
+      << "an undecodable stored outcome must be recomputed, not installed";
+  EXPECT_EQ(loaded.get_or_compute("cfg{good2}|spec{x}", recompute)
+                .ppa.power_uw,
+            3.0);
+  EXPECT_EQ(computed, 1);
   const dse::EvalCacheStats st = loaded.stats();
   EXPECT_EQ(st.loaded, 2u);
   EXPECT_EQ(st.rejected, 1u);
-  EXPECT_GE(diag.count_rule("CACHE-BADENTRY"), 1u);
-  EXPECT_FALSE(loaded.lookup("cfg{victim}|spec{x}").has_value());
-  EXPECT_TRUE(loaded.lookup("cfg{good1}|spec{x}").has_value());
-  EXPECT_TRUE(loaded.lookup("cfg{good2}|spec{x}").has_value());
-  std::remove(path.c_str());
+  EXPECT_EQ(st.hits, 2u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.entries, 3u);
+  std::filesystem::remove_all(root);
 }
 
 TEST(EvalCache, TruncatedEntriesNeverInstallGarbage) {
-  // Fuzz-ish: chop the persisted file at many points; whatever loads must
-  // be an entry that round-trips exactly, never a half-parsed one.
-  const std::string path = "dse_cache_truncate_test.json";
-  std::remove(path.c_str());
-  dse::EvalCache cache;
-  cache.insert("cfg{only}|spec{x}", sample_outcome(7.5));
-  ASSERT_TRUE(cache.save_json(path));
-  const std::string text = slurp(path);
+  const std::string root = fresh_store("truncate");
+  const std::string prefix = dse::eval_store_prefix(test_library());
+  const std::string payload = dse::encode_eval_outcome(sample_outcome(7.5));
+  int computed = 0;
+  const auto recompute = [&] {
+    ++computed;
+    return sample_outcome(-1.0);
+  };
 
-  for (long cut = static_cast<long>(text.size()) - 1; cut > 0; cut -= 17) {
-    spit(path, text.substr(0, static_cast<std::size_t>(cut)));
-    dse::EvalCache loaded;
-    const std::size_t n = loaded.load_json(path);
-    if (n == 1) {
-      const auto r = loaded.lookup("cfg{only}|spec{x}");
-      ASSERT_TRUE(r.has_value());
-      EXPECT_EQ(r->ppa.power_uw, 7.5);
-      EXPECT_EQ(r->ppa.latency_cycles, 3);
-    } else {
-      EXPECT_EQ(loaded.size(), 0u) << "cut=" << cut;
+  // Every proper prefix of a stored payload is rejected and recomputed.
+  {
+    core::DiskBlobStore disk(root);
+    dse::EvalCache cache;
+    cache.attach_blob_store(&disk, prefix);
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      const std::string key = "cfg{cut" + std::to_string(cut) + "}|spec{x}";
+      ASSERT_TRUE(disk.put(dse::EvalCache::kStoreTier, prefix + key,
+                           payload.substr(0, cut)));
+      EXPECT_EQ(cache.get_or_compute(key, recompute).ppa.power_uw, -1.0)
+          << "cut=" << cut;
     }
+    EXPECT_EQ(cache.stats().rejected, payload.size());
+    EXPECT_EQ(cache.stats().loaded, 0u);
+    EXPECT_EQ(computed, static_cast<int>(payload.size()));
   }
-  std::remove(path.c_str());
-}
 
-TEST(EvalCache, MissingFormatMarkerIsReported) {
-  const std::string path = "dse_cache_badfile_test.json";
-  spit(path, "{\"entries\": [{\"key\": \"k\"}]}");
+  // A torn object file on disk is skipped by the store (CACHE-TRUNC), so
+  // the cache sees a miss and recomputes; the whole file loads.
+  const std::string key = "cfg{only}|spec{x}";
+  std::string object;
+  std::string path;
+  {
+    core::DiskBlobStore disk(root);
+    dse::EvalCache cache;
+    cache.attach_blob_store(&disk, prefix);
+    (void)cache.get_or_compute(key, [] { return sample_outcome(7.5); });
+    path = disk.object_path(dse::EvalCache::kStoreTier, prefix + key);
+    std::ifstream in(path, std::ios::binary);
+    object.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(object.size(), payload.size());
+  for (std::size_t cut = 0; cut < object.size(); cut += 7) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(object.data(), static_cast<std::streamsize>(cut));
+    }
+    core::DiskBlobStore disk(root);
+    dse::EvalCache cache;
+    cache.attach_blob_store(&disk, prefix);
+    computed = 0;
+    EXPECT_EQ(cache.get_or_compute(key, recompute).ppa.power_uw, -1.0)
+        << "cut=" << cut;
+    EXPECT_EQ(computed, 1) << "cut=" << cut;
+    EXPECT_EQ(cache.stats().loaded, 0u) << "cut=" << cut;
+    core::DiagEngine diag;
+    disk.drain_diags(diag);
+    EXPECT_EQ(diag.count_rule("CACHE-TRUNC"), 1u) << "cut=" << cut;
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(object.data(), static_cast<std::streamsize>(object.size()));
+  }
+  core::DiskBlobStore disk(root);
   dse::EvalCache cache;
-  core::DiagEngine diag;
-  EXPECT_EQ(cache.load_json(path, &diag), 0u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(diag.count_rule("CACHE-BADFILE"), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(EvalCache, NonFiniteNumbersAreRejected) {
-  const std::string path = "dse_cache_inf_test.json";
-  std::remove(path.c_str());
-  dse::EvalCache cache;
-  cache.insert("cfg{a}|spec{x}", sample_outcome(1.0));
-  ASSERT_TRUE(cache.save_json(path));
-  std::string text = slurp(path);
-  const std::size_t vbegin = text.find("\"ppa\": [\"") + 9;
-  const std::size_t vend = text.find('"', vbegin);
-  text.replace(vbegin, vend - vbegin, "inf");
-  spit(path, text);
-
-  dse::EvalCache loaded;
-  EXPECT_EQ(loaded.load_json(path), 0u);
-  EXPECT_EQ(loaded.stats().rejected, 1u);
-  std::remove(path.c_str());
+  cache.attach_blob_store(&disk, prefix);
+  EXPECT_EQ(cache.get_or_compute(key, recompute).ppa.power_uw, 7.5);
+  EXPECT_EQ(cache.stats().loaded, 1u);
+  std::filesystem::remove_all(root);
 }
 
 TEST(WorkStealingPool, ExecutesEverySubmittedTask) {
@@ -487,8 +530,8 @@ TEST(SweepDeterminism, CacheDoesNotChangeResultsAndGetsHits) {
   dse::SweepOptions cached;
   cached.threads = 2;
   cached.use_cache = true;
-  cached.cache_path = "dse_sweep_test.cache.json";
-  std::remove(cached.cache_path.c_str());
+  cached.store_dir = ::testing::TempDir() + "syndcim_dse_sweep_store";
+  std::filesystem::remove_all(cached.store_dir);
   const dse::SweepReport a = dse::run_sweep(test_library(), specs, uncached);
   const dse::SweepReport b = dse::run_sweep(test_library(), specs, cached);
 
@@ -497,11 +540,13 @@ TEST(SweepDeterminism, CacheDoesNotChangeResultsAndGetsHits) {
   EXPECT_GT(b.cache.hits, 0u)
       << "the preference-duplicated spec must hit the shared cache";
 
-  // A second run warm-starts from the file the first one saved, and its
-  // report counts the import.
+  // A second run warm-starts from the store the first one wrote, and its
+  // report counts every outcome served from it.
   const dse::SweepReport c = dse::run_sweep(test_library(), specs, cached);
-  std::remove(cached.cache_path.c_str());
+  std::filesystem::remove_all(cached.store_dir);
+  EXPECT_EQ(dse::sweep_frontier_json(c), dse::sweep_frontier_json(a));
   EXPECT_EQ(c.cache.loaded, b.cache.entries);
+  EXPECT_EQ(c.cache.misses, 0u);
 }
 
 TEST(SweepConcurrency, SharedSclBackendMatchesOneThread) {

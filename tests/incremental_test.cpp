@@ -1,20 +1,22 @@
 // Cold-vs-incremental equivalence tests of the content-addressed
 // subcircuit-artifact pipeline: stitch_flatten vs flatten byte-identity,
 // grouped activity propagation, stage skipping inside implement() and the
-// subcircuit library, NET-* diagnostic routing, crash-safe eval-cache
-// persistence, and the one-knob-delta sweep whose frontier JSON must be
-// byte-identical with the artifact tier on or off.
+// subcircuit library, NET-* diagnostic routing, and the one-knob-delta
+// sweep whose frontier JSON must be byte-identical with the artifact tier
+// on or off.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cell/characterize.hpp"
 #include "core/compiler.hpp"
+#include "core/diskstore.hpp"
 #include "core/scl.hpp"
 #include "core/spec.hpp"
 #include "core/stage.hpp"
@@ -389,37 +391,65 @@ TEST(NetValidate, RoutesProblemsThroughDiagEngine) {
 }
 
 TEST(EvalCachePersistence, SaveIsAtomicAndLeavesNoTempFile) {
-  const std::string path = ::testing::TempDir() + "syndcim_evalcache.json";
-  const std::string tmp = path + ".tmp";
-  std::remove(path.c_str());
+  namespace fs = std::filesystem;
+  const std::string root = ::testing::TempDir() + "syndcim_evalcache_store";
+  fs::remove_all(root);
+  const std::string prefix = dse::eval_store_prefix(lib());
+  const auto tmp_files = [&] {
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(fs::path(root) / "tmp")) {
+      (void)e;
+      ++n;
+    }
+    return n;
+  };
 
+  core::DiskBlobStore disk(root);
   dse::EvalCache cache;
+  cache.attach_blob_store(&disk, prefix);
   core::EvalOutcome out;
   out.ppa.power_uw = 12.5;
   out.ppa.area_um2 = 480.0;
-  cache.insert("k1", out);
-  ASSERT_TRUE(cache.save_json(path));
+  (void)cache.get_or_compute("k1", [&] { return out; });
 
-  // The temp file was renamed away and the target parses cleanly.
-  EXPECT_FALSE(std::ifstream(tmp).good());
-  dse::EvalCache back;
+  // The write-through went tmp+rename: nothing is left in tmp/ and the
+  // published object decodes in full.
+  EXPECT_EQ(tmp_files(), 0u);
+  std::optional<std::string> stored =
+      disk.get(dse::EvalCache::kStoreTier, prefix + "k1");
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(dse::decode_eval_outcome(*stored).ppa.power_uw, 12.5);
   core::DiagEngine diag;
-  EXPECT_EQ(back.load_json(path, &diag), 1u);
-  EXPECT_EQ(diag.count_rule("CACHE-BADFILE"), 0u);
-  EXPECT_EQ(diag.count_rule("CACHE-BADENTRY"), 0u);
+  disk.drain_diags(diag);
+  EXPECT_EQ(diag.count_rule("CACHE-TRUNC"), 0u);
+  EXPECT_EQ(diag.count_rule("CACHE-CORRUPT"), 0u);
 
-  // Overwriting an existing file goes through the same tmp+rename path;
-  // a reader can never observe a torn file at `path`.
+  // A second outcome goes through the same path; a reader can never
+  // observe a torn object.
   out.ppa.power_uw = 99.0;
-  cache.insert("k2", out);
-  ASSERT_TRUE(cache.save_json(path));
-  EXPECT_FALSE(std::ifstream(tmp).good());
-  dse::EvalCache back2;
-  EXPECT_EQ(back2.load_json(path), 2u);
+  (void)cache.get_or_compute("k2", [&] { return out; });
+  EXPECT_EQ(tmp_files(), 0u);
+  EXPECT_EQ(disk.disk_usage().objects, 2u);
+  dse::EvalCache back;
+  back.attach_blob_store(&disk, prefix);
+  EXPECT_EQ(back.get_or_compute("k2", [] { return core::EvalOutcome{}; })
+                .ppa.power_uw,
+            99.0);
+  EXPECT_EQ(back.stats().loaded, 1u);
 
-  // An unwritable destination fails cleanly without littering.
-  EXPECT_FALSE(cache.save_json("/nonexistent_dir/deep/cache.json"));
-  std::remove(path.c_str());
+  // An unusable destination (a regular file as the root) fails the put
+  // cleanly: the computed outcome is still returned and nothing is made.
+  const std::string file = root + "_file";
+  { std::ofstream f(file); f << "occupied"; }
+  core::DiskBlobStore bad(file);
+  dse::EvalCache unwritable;
+  unwritable.attach_blob_store(&bad, prefix);
+  EXPECT_EQ(unwritable.get_or_compute("k3", [&] { return out; }).ppa.power_uw,
+            99.0);
+  EXPECT_EQ(bad.stats().write_fails, 1u);
+  EXPECT_TRUE(fs::is_regular_file(file));
+  fs::remove(file);
+  fs::remove_all(root);
 }
 
 TEST(Sweep, OneKnobDeltaFrontierIsByteIdenticalWithArtifactTierOnOrOff) {

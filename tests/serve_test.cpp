@@ -103,16 +103,26 @@ TEST(ServeJson, RejectsMalformedInput) {
 }
 
 TEST(ServeJson, EscapeRoundTripsBytes) {
-  // The sweep response relies on escape/parse round-tripping the nested
-  // frontier JSON byte-for-byte.
-  const std::string original =
-      "{\n  \"k\": \"v\\\"q\",\t\"u\": \"\xc3\xa9\"\n}\x01";
-  const std::string wrapped =
-      "\"" + serve::json_escape(original) + "\"";
-  serve::JsonValue v;
+  // The sweep and lint responses rely on escape/parse round-tripping the
+  // nested frontier and diagnostics JSON byte-for-byte.
+  core::DiagEngine diag;
+  diag.warning("TEST-RULE", "\n\x01", "obj\b\f\r\t", "src");
+  const std::string diag_json = diag.to_json();
+  serve::JsonValue parsed_diag;
   std::string err;
-  ASSERT_TRUE(serve::json_parse(wrapped, &v, &err)) << err;
-  EXPECT_EQ(v.as_string(), original);
+  ASSERT_TRUE(serve::json_parse(diag_json, &parsed_diag, &err)) << err;
+  EXPECT_EQ(parsed_diag.find("diagnostics")->at(0).find("message")->as_string(),
+            "\n\x01");
+
+  for (const std::string& original :
+       {std::string("{\n  \"k\": \"v\\\"q\",\t\"u\": \"\xc3\xa9\"\n}\x01"),
+        diag_json}) {
+    const std::string wrapped =
+        "\"" + core::json_escape_string(original) + "\"";
+    serve::JsonValue v;
+    ASSERT_TRUE(serve::json_parse(wrapped, &v, &err)) << err;
+    EXPECT_EQ(v.as_string(), original);
+  }
 }
 
 TEST(ServeProtocol, ParsesAndRejectsRequests) {
@@ -406,6 +416,8 @@ TEST(ServeDaemon, RestartOnStoreDirAnswersWarmFromL2) {
   ASSERT_TRUE(warm.ok) << warm.raw;
   EXPECT_EQ(warm.result.find("frontier_json")->as_string(), cold_frontier);
   EXPECT_GT(warm.result.find("artifacts")->find("hits")->as_number(), 0.0);
+  // Every evaluation is answered from the store the first daemon wrote.
+  EXPECT_EQ(warm.result.find("eval_cache")->find("misses")->as_number(), 0.0);
 
   std::uint64_t l2_hits = 0;
   for (const core::ArtifactTierStats& t : server->store().stats()) {

@@ -8,11 +8,12 @@
 //   syndcim [compile] rows=64 cols=64 mcr=2 mac_mhz=400 [--out DIR]
 //   syndcim sweep [base spec keys] [sweep_mac_mhz=...] [sweep_mcr=...]
 //           [sweep_bits=...] [sweep_pref=...] [--threads N]
-//           [--cache FILE] [--no-cache] [--json FILE]
-//           [--frontier-json FILE]
+//           [--no-cache] [--json FILE] [--frontier-json FILE]
+//           [--store-dir DIR]
 //   syndcim netmap --model model.json [--frontier-json FILE |
 //           base spec keys + sweep_* grid keys] [--budget-macros N]
-//           [--budget-area UM2] [--threads N] [--json FILE]
+//           [--budget-area UM2] [--threads N] [--store-dir DIR]
+//           [--json FILE]
 //   syndcim lint <netlist.v> [--top NAME] [--lib FILE] [--json FILE]
 //           [--write-clock PORT]
 //   syndcim serve [--port N] [--workers N] [--queue-cap N] ...
@@ -36,7 +37,9 @@
 //                                (balanced|power|area|perf)
 // The sweep runs every grid point's search on a work-stealing pool with
 // a shared memoized evaluation cache and prints a JSON report (global
-// Pareto frontier + per-spec summaries + cache/pool statistics).
+// Pareto frontier + per-spec summaries + cache/pool statistics). With
+// --store-dir, evaluation outcomes and subcircuit artifacts persist in
+// one on-disk store, so a repeat sweep starts warm.
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -111,20 +114,20 @@ void usage_sweep(std::ostream& os) {
   os << "usage: syndcim sweep [--spec FILE] [key=value ...]\n"
         "               [sweep_mac_mhz=...] [sweep_mcr=...]\n"
         "               [sweep_bits=...] [sweep_pref=...] [--threads N]\n"
-        "               [--cache FILE] [--no-cache] [--json FILE]\n"
+        "               [--no-cache] [--json FILE]\n"
         "               [--frontier-json FILE] [--store-dir DIR]\n"
         "               [--shard I/N --shard-out FILE]\n"
         "               [--merge-shards FILE...] [common options]\n"
         "  options:\n"
         "    --threads N       worker threads (default: hardware)\n"
-        "    --cache FILE      warm-start/persist the evaluation cache\n"
         "    --no-cache        disable evaluation memoization\n"
         "    --no-artifact-cache  disable the subcircuit-artifact tier\n"
         "    --json FILE       full sweep report JSON (default: stdout)\n"
         "    --frontier-json FILE  deterministic global-frontier JSON\n"
-        "    --store-dir DIR   durable on-disk artifact store: a repeat\n"
-        "                      sweep over the same grid starts warm, and\n"
-        "                      concurrent shards share it as their cache\n"
+        "    --store-dir DIR   durable on-disk store of evaluation outcomes\n"
+        "                      and artifacts: a repeat sweep over the same\n"
+        "                      grid starts warm, and concurrent shards\n"
+        "                      share it as their cache\n"
         "    --shard I/N       evaluate only the specs with global grid\n"
         "                      index == I (mod N); pair with --shard-out\n"
         "                      and merge the N files with --merge-shards\n"
@@ -145,7 +148,7 @@ void usage_netmap(std::ostream& os) {
         "               [--frontier-json FILE | [--spec FILE]\n"
         "               [key=value ...] [sweep_* grid keys]]\n"
         "               [--budget-macros N] [--budget-area UM2]\n"
-        "               [--threads N] [--cache FILE] [--no-cache]\n"
+        "               [--threads N] [--store-dir DIR] [--no-cache]\n"
         "               [--json FILE] [common options]\n"
         "  options:\n"
         "    --model FILE      syndcim-model v1 layer-graph JSON (required)\n"
@@ -156,7 +159,8 @@ void usage_netmap(std::ostream& os) {
         "    --budget-macros N total owned macros across types (default 8)\n"
         "    --budget-area UM2 total owned silicon budget (default: none)\n"
         "    --threads N       inline-sweep worker threads\n"
-        "    --cache FILE      warm-start/persist the evaluation cache\n"
+        "    --store-dir DIR   durable on-disk store the inline sweep\n"
+        "                      starts warm from and persists into\n"
         "    --no-cache        disable evaluation memoization\n"
         "    --json FILE       syndcim-netmap v1 report (default: stdout)\n"
      << kCommonOptions
@@ -317,8 +321,6 @@ int run_sweep_command(const Args& args) {
                   << "'\n";
         return 2;
       }
-    } else if (a == "--cache" && i + 1 < args.size()) {
-      opt.cache_path = args[++i];
     } else if (a == "--no-cache") {
       opt.use_cache = false;
     } else if (a == "--no-artifact-cache") {
@@ -401,7 +403,6 @@ int run_sweep_command(const Args& args) {
             << (opt.threads > 0 ? opt.threads
                                 : dse::WorkStealingPool::default_threads())
             << ", cache=" << (opt.use_cache ? "on" : "off");
-  if (!opt.cache_path.empty()) std::cerr << " (" << opt.cache_path << ")";
   if (!opt.store_dir.empty()) std::cerr << ", store=" << opt.store_dir;
   if (opt.shard_count > 1) {
     std::cerr << ", shard=" << opt.shard_index << "/" << opt.shard_count;
@@ -516,8 +517,8 @@ int run_netmap_command(const Args& args) {
         std::cerr << e.what() << "\n";
         return 2;
       }
-    } else if (a == "--cache" && i + 1 < args.size()) {
-      sopt.cache_path = args[++i];
+    } else if (a == "--store-dir" && i + 1 < args.size()) {
+      sopt.store_dir = args[++i];
     } else if (a == "--no-cache") {
       sopt.use_cache = false;
     } else if (a == "--json" && i + 1 < args.size()) {

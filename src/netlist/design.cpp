@@ -1,7 +1,8 @@
 #include "netlist/design.hpp"
 
-#include <set>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 namespace syndcim::netlist {
 
@@ -45,11 +46,14 @@ std::vector<std::string> Design::module_names() const {
 }
 
 namespace {
+// Both sets view names owned by the design's modules, which outlive the
+// validation pass.
 void validate_module(const Design& d, const Module& m,
-                     std::set<std::string>& visited,
+                     std::unordered_set<std::string_view>& visited,
                      core::DiagEngine& diag) {
   if (!visited.insert(m.name()).second) return;
-  std::set<std::string> inst_names;
+  std::unordered_set<std::string_view> inst_names;
+  inst_names.reserve(m.instances().size());
   for (const Instance& inst : m.instances()) {
     if (!inst_names.insert(inst.name).second) {
       diag.error("NET-DUPINST",
@@ -85,7 +89,7 @@ bool validate(const Design& d, const std::string& top,
     diag.error("NET-NOTOP", "top module '" + top + "' not found", top);
     return false;
   }
-  std::set<std::string> visited;
+  std::unordered_set<std::string_view> visited;
   validate_module(d, d.module(top), visited, diag);
   return diag.error_count() == before;
 }

@@ -22,8 +22,10 @@ std::vector<std::vector<std::uint32_t>> levelize(
     }
   }
 
+  // Combinational loads of each unresolved net as a CSR, in (gate, pin)
+  // order: count, prefix-sum, fill.
   std::vector<std::uint32_t> pending(ngates, 0);
-  std::vector<std::vector<std::uint32_t>> loads(nl.net_count());
+  std::vector<std::uint32_t> load_begin(nl.net_count() + 1, 0);
   std::size_t comb_total = 0;
   for (std::uint32_t g = 0; g < ngates; ++g) {
     if (!gates[g].combinational) continue;
@@ -31,7 +33,19 @@ std::vector<std::vector<std::uint32_t>> levelize(
     for (const std::uint32_t net : gates[g].in_nets) {
       if (net == kNoConn || resolved[net]) continue;
       ++pending[g];
-      loads[net].push_back(g);
+      ++load_begin[net + 1];
+    }
+  }
+  for (std::size_t n = 0; n < nl.net_count(); ++n) {
+    load_begin[n + 1] += load_begin[n];
+  }
+  std::vector<std::uint32_t> loads(load_begin.back());
+  std::vector<std::uint32_t> fill(load_begin.begin(), load_begin.end() - 1);
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    if (!gates[g].combinational) continue;
+    for (const std::uint32_t net : gates[g].in_nets) {
+      if (net == kNoConn || resolved[net]) continue;
+      loads[fill[net]++] = g;
     }
   }
 
@@ -49,8 +63,8 @@ std::vector<std::vector<std::uint32_t>> levelize(
       for (const std::uint32_t net : gates[g].out_nets) {
         if (net == kNoConn || resolved[net]) continue;
         resolved[net] = 1;
-        for (const std::uint32_t lg : loads[net]) {
-          if (--pending[lg] == 0) next.push_back(lg);
+        for (std::uint32_t i = load_begin[net]; i < load_begin[net + 1]; ++i) {
+          if (--pending[loads[i]] == 0) next.push_back(loads[i]);
         }
       }
     }

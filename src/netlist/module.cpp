@@ -1,5 +1,6 @@
 #include "netlist/module.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace syndcim::netlist {
@@ -23,6 +24,7 @@ std::vector<NetId> Module::add_bus(std::string_view base, int width) {
 NetId Module::add_port(std::string name, PortDir dir) {
   const NetId id = add_net(name);
   ports_.push_back(Port{std::move(name), dir, id});
+  index_last_port();
   return id;
 }
 
@@ -80,19 +82,30 @@ std::size_t Module::add_submodule(std::string inst_name,
   return instances_.size() - 1;
 }
 
-const Port& Module::port(std::string_view name) const {
-  for (const Port& p : ports_) {
-    if (p.name == name) return p;
-  }
-  throw std::out_of_range("Module::port: no port '" + std::string(name) +
-                          "' in module " + name_);
+void Module::index_last_port() {
+  const auto pos = static_cast<std::uint32_t>(ports_.size() - 1);
+  const std::string& name = ports_[pos].name;
+  // After every equal name: positions within one name stay ascending.
+  const auto it = std::upper_bound(
+      port_order_.begin(), port_order_.end(), name,
+      [&](const std::string& n, std::uint32_t i) {
+        return n < ports_[i].name;
+      });
+  port_order_.insert(it, pos);
 }
 
-bool Module::has_port(std::string_view name) const {
-  for (const Port& p : ports_) {
-    if (p.name == name) return true;
-  }
-  return false;
+const Port* Module::find_port(std::string_view name) const {
+  const auto it = std::lower_bound(
+      port_order_.begin(), port_order_.end(), name,
+      [&](std::uint32_t i, std::string_view n) { return ports_[i].name < n; });
+  if (it == port_order_.end() || ports_[*it].name != name) return nullptr;
+  return &ports_[*it];
+}
+
+const Port& Module::port(std::string_view name) const {
+  if (const Port* p = find_port(name)) return *p;
+  throw std::out_of_range("Module::port: no port '" + std::string(name) +
+                          "' in module " + name_);
 }
 
 std::size_t Module::cell_count() const {

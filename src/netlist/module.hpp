@@ -83,9 +83,12 @@ class Module {
   }
   [[nodiscard]] const Net& net(NetId id) const { return nets_.at(id.v); }
 
-  /// Port lookup by name; throws if absent.
+  /// Port lookup by name (the first-added port when names repeat);
+  /// throws std::out_of_range if absent. Both are O(log ports).
   [[nodiscard]] const Port& port(std::string_view name) const;
-  [[nodiscard]] bool has_port(std::string_view name) const;
+  [[nodiscard]] bool has_port(std::string_view name) const {
+    return find_port(name) != nullptr;
+  }
 
   /// Number of cell instances (excluding submodule instances).
   [[nodiscard]] std::size_t cell_count() const;
@@ -97,6 +100,7 @@ class Module {
   void restore_net_tie(NetId id, NetConst tie) { nets_.at(id.v).tie = tie; }
   void restore_port(std::string name, PortDir dir, NetId net) {
     ports_.push_back(Port{std::move(name), dir, net});
+    index_last_port();
   }
   void restore_consts(NetId c0, NetId c1) {
     const0_ = c0;
@@ -106,9 +110,16 @@ class Module {
   [[nodiscard]] NetId const1_id() const { return const1_; }
 
  private:
+  [[nodiscard]] const Port* find_port(std::string_view name) const;
+  void index_last_port();
+
   std::string name_;
   std::vector<Net> nets_;
   std::vector<Port> ports_;
+  /// Positions into ports_ sorted by (name, position), so name lookups
+  /// binary-search without a second copy of the names and the first-added
+  /// of equally named ports sorts first.
+  std::vector<std::uint32_t> port_order_;
   std::vector<Instance> instances_;
   NetId const0_{};
   NetId const1_{};

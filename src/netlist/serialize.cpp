@@ -132,7 +132,8 @@ std::size_t deep_bytes(const Module& m) {
   std::size_t n = deep_str_bytes(m.name());
   n += m.nets().size() * sizeof(Net);
   for (const Net& net : m.nets()) n += deep_str_bytes(net.name);
-  n += m.ports().size() * sizeof(Port);
+  // Each port also holds one position in the module's name index.
+  n += m.ports().size() * (sizeof(Port) + sizeof(std::uint32_t));
   for (const Port& p : m.ports()) n += deep_str_bytes(p.name);
   n += m.instances().size() * sizeof(Instance);
   for (const Instance& inst : m.instances()) {

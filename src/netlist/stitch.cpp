@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "obs/obs.hpp"
+
 namespace syndcim::netlist {
 
 namespace {
@@ -302,6 +304,7 @@ FlatBlock flatten_block(const Design& d, const std::string& module_name) {
 
 StitchResult stitch_flatten(const Design& d, const std::string& top,
                             FlatBlockCache* cache) {
+  OBS_SPAN("netlist.stitch");
   const std::vector<std::string> problems = validate(d, top);
   if (!problems.empty()) {
     throw std::invalid_argument("flatten: design invalid: " + problems[0] +

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "num/alignment.hpp"
+#include "obs/obs.hpp"
 #include "rtlgen/adder_tree.hpp"
 #include "rtlgen/alignment_unit.hpp"
 #include "rtlgen/content_key.hpp"
@@ -261,6 +262,7 @@ MacroDesign gen_macro(const MacroConfig& cfg) {
 }
 
 MacroDesign gen_macro(const MacroConfig& cfg, ModuleCache* modules) {
+  OBS_SPAN("rtlgen.gen");
   cfg.validate();
   MacroDesign md;
   md.cfg = cfg;

@@ -270,13 +270,14 @@ class StaEngine {
   std::vector<std::uint32_t> arc_gate_;
   std::vector<const cell::Lut2d*> arc_delay_;
   std::vector<const cell::Lut2d*> arc_oslew_;
-  std::vector<std::uint8_t> arc_axis_shared_;  // delay/slew share slew axis
   // Deduplicated slew axes: the library reuses a handful of axis vectors
   // across all cells, so the kernel locates on a flat table that stays in
   // cache instead of chasing each arc's Lut2d.
   std::vector<double> ax_vals_;
   std::vector<std::uint32_t> ax_off_;    // per axis id, into ax_vals_
   std::vector<std::uint32_t> ax_len_;    // per axis id
+  // Axis ids are content ids: equal ids mean the delay and out-slew LUTs
+  // share one grid, so the kernel locates once.
   std::vector<std::uint16_t> arc_dax_;   // delay-LUT axis id, per arc
   std::vector<std::uint16_t> arc_sax_;   // out-slew-LUT axis id, per arc
   std::vector<std::uint32_t> level_arc_begin_;  // per level, into arc_*

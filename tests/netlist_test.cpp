@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
+#include "core/diag.hpp"
 #include "netlist/design.hpp"
 #include "netlist/flatten.hpp"
 #include "netlist/module.hpp"
+#include "netlist/serialize.hpp"
 
 namespace {
 using namespace syndcim::netlist;
@@ -67,6 +70,100 @@ TEST(Module, RejectsInvalidNet) {
   Module m("t");
   EXPECT_THROW(m.add_cell("i0", "INVX1", {{"A", NetId{}}}),
                std::invalid_argument);
+}
+
+/// Every port of `m` is found by name, resolving to its first-added
+/// namesake.
+void expect_ports_found(const Module& m) {
+  for (std::size_t i = 0; i < m.ports().size(); ++i) {
+    const Port& want = m.ports()[i];
+    ASSERT_TRUE(m.has_port(want.name)) << want.name;
+    std::size_t first = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (m.ports()[j].name == want.name) {
+        first = j;
+        break;
+      }
+    }
+    EXPECT_EQ(&m.port(want.name), &m.ports()[first]) << want.name;
+  }
+}
+
+/// Ports added out of name order (bus bits sort as "d[10]" < "d[2]"), plus
+/// one name added twice.
+Module make_many_port_module() {
+  Module m("ports");
+  m.add_port_bus("d", PortDir::kIn, 12);
+  m.add_port("clk", PortDir::kIn);
+  m.add_port_bus("q", PortDir::kOut, 3);
+  m.add_port("clk", PortDir::kOut);
+  m.add_port("a", PortDir::kIn);
+  return m;
+}
+
+TEST(ModulePortIndex, FirstAddedDuplicateWins) {
+  Module m = make_many_port_module();
+  const Port& clk = m.port("clk");
+  EXPECT_EQ(clk.dir, PortDir::kIn);
+  EXPECT_EQ(&clk, &m.ports()[12]);
+  // A restored alias of an existing name does not shadow the original.
+  m.restore_port("d[3]", PortDir::kOut, m.port("a").net);
+  EXPECT_EQ(m.port("d[3]").dir, PortDir::kIn);
+  EXPECT_EQ(m.port("d[3]").net, m.ports()[3].net);
+  expect_ports_found(m);
+}
+
+TEST(ModulePortIndex, MissingNameThrowsOutOfRange) {
+  const Module empty("empty");
+  EXPECT_FALSE(empty.has_port("a"));
+  EXPECT_THROW((void)empty.port("a"), std::out_of_range);
+  const Module m = make_many_port_module();
+  for (const char* name : {"", "d", "d[12]", "clk ", "q[", "zz", "A"}) {
+    EXPECT_FALSE(m.has_port(name)) << name;
+    EXPECT_THROW((void)m.port(name), std::out_of_range) << name;
+  }
+}
+
+TEST(ModulePortIndex, RestoredAndCopiedModulesFindPorts) {
+  Module m = make_many_port_module();
+  const NetId n = m.add_net("alias");
+  m.restore_port("b", PortDir::kOut, n);
+  const Module decoded = decode_module(encode_module(m));
+  ASSERT_EQ(decoded.ports().size(), m.ports().size());
+  expect_ports_found(decoded);
+  EXPECT_EQ(decoded.port("b").net, n);
+  EXPECT_EQ(decoded.port("clk").dir, PortDir::kIn);
+
+  auto original = std::make_unique<Module>(make_full_adder_module());
+  const Module copy = *original;
+  original.reset();  // the copy's index must not refer to the original
+  expect_ports_found(copy);
+  EXPECT_EQ(copy.port("CO").dir, PortDir::kOut);
+  EXPECT_FALSE(copy.has_port("XX"));
+}
+
+TEST(ModulePortIndex, ValidateReportsDupInstAndNoPort) {
+  Design d;
+  d.add_module(make_full_adder_module());
+  Module top("top");
+  const NetId x = top.add_port("x", PortDir::kIn);
+  const NetId y = top.add_port("y", PortDir::kOut);
+  top.add_submodule("u0", "fa_struct",
+                    {{"A", x}, {"B", x}, {"CI", x}, {"S", y}, {"BAD", x}});
+  top.add_cell("u1", "INVX1", {{"A", x}});
+  top.add_cell("u0", "INVX1", {{"A", x}});
+  top.add_cell("u1", "INVX1", {{"A", x}});
+  d.add_module(std::move(top));
+  syndcim::core::DiagEngine diag;
+  EXPECT_FALSE(validate(d, "top", diag));
+  EXPECT_EQ(diag.count_rule("NET-DUPINST"), 2u);
+  EXPECT_EQ(diag.count_rule("NET-NOPORT"), 1u);
+  ASSERT_EQ(diag.diags().size(), 3u);
+  // Findings follow instance order: u0's bad port, then the repeats.
+  EXPECT_EQ(diag.diags()[0].rule, "NET-NOPORT");
+  EXPECT_EQ(diag.diags()[0].object, "BAD");
+  EXPECT_EQ(diag.diags()[1].object, "u0");
+  EXPECT_EQ(diag.diags()[2].object, "u1");
 }
 
 TEST(Design, DuplicateModuleRejected) {

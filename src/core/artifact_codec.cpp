@@ -216,8 +216,6 @@ std::size_t deep_bytes(const PowerArtifact& a) {
 void install_deep_bytes(ArtifactStore& store) {
   store.modules.set_deep_bytes(
       [](const netlist::Module& m) { return netlist::deep_bytes(m); });
-  store.blocks.set_deep_bytes(
-      [](const netlist::FlatBlock& b) { return netlist::deep_bytes(b); });
   store.flats.set_deep_bytes(
       [](const netlist::FlatNetlist& nl) { return netlist::deep_bytes(nl); });
   store.activity.set_deep_bytes([](const power::GroupActivityArtifact& a) {
@@ -240,8 +238,6 @@ void install_deep_bytes(ArtifactStore& store) {
 void attach_blob_store(ArtifactStore& store, BlobStore* l2) {
   attach_tier(store.modules, l2, netlist::encode_module,
               netlist::decode_module);
-  attach_tier(store.blocks, l2, netlist::encode_flat_block,
-              netlist::decode_flat_block);
   attach_tier(store.flats, l2, netlist::encode_flat_netlist,
               netlist::decode_flat_netlist);
   attach_tier(store.activity, l2, power::encode_group_activity,

@@ -38,13 +38,13 @@ class BlobStore;
 [[nodiscard]] std::size_t deep_bytes(const TimingArtifact& a);
 [[nodiscard]] std::size_t deep_bytes(const PowerArtifact& a);
 
-/// Installs the deep-payload-bytes hooks on all ten tiers, making
+/// Installs the deep-payload-bytes hooks on all nine tiers, making
 /// ArtifactTierStats::bytes (and the --cache-cap-bytes bound) reflect
 /// real heap memory. ArtifactStore's constructor calls this; it is
 /// idempotent.
 void install_deep_bytes(ArtifactStore& store);
 
-/// Attaches `l2` as the durable layer under all ten tiers, wiring each
+/// Attaches `l2` as the durable layer under all nine tiers, wiring each
 /// tier's encode/decode codec. nullptr detaches. `l2` must outlive the
 /// store or a later detach.
 void attach_blob_store(ArtifactStore& store, BlobStore* l2);

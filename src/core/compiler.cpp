@@ -4,7 +4,7 @@
 #include <random>
 #include <stdexcept>
 
-#include "netlist/stitch.hpp"
+#include "netlist/flatten.hpp"
 #include "num/int_ops.hpp"
 #include "rtlgen/content_key.hpp"
 #include "sim/macro_tb.hpp"
@@ -137,9 +137,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
   impl.macro = *macro;
 
   const auto flat = pipe.run("map", &as.flats, "flatm1|" + ckey, [&] {
-    netlist::StitchResult sr = netlist::stitch_flatten(
-        impl.macro.design, impl.macro.top, &as.blocks);
-    return std::move(sr.nl);
+    return netlist::flatten(impl.macro.design, impl.macro.top);
   });
 
   // Static netlist checks before any physical or timing work: an
@@ -224,7 +222,10 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
               wl.lanes = std::clamp(wl.lanes, 1, 64);
               sim::MacroTestbench tb(impl.macro, lib_, wl.lanes);
               sim::DcimMacroModel model(cfg);
-              drive_workload(tb, model, wl);
+              {
+                OBS_SPAN("sim.workload");
+                drive_workload(tb, model, wl);
+              }
               obs::metrics().counter("sim.gate_evals")
                   .inc(tb.sim().gate_evals());
               obs::metrics().counter("sim.events_skipped")

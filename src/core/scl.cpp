@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "layout/floorplan.hpp"
-#include "netlist/stitch.hpp"
+#include "netlist/flatten.hpp"
 #include "power/power.hpp"
 #include "rtlgen/content_key.hpp"
 #include "rtlgen/macro.hpp"
@@ -50,15 +50,13 @@ SliceEval SubcircuitLibrary::slice(const MacroConfig& cfg) {
   const std::string& libfp = lib_.fingerprint();
   const std::string lkey = skey + "|" + libfp;
 
-  // Elaborate + stitch. Netlist structure is library-independent, so the
+  // Elaborate + flatten. Netlist structure is library-independent, so the
   // flat artifact is keyed by generator parameters alone; on a hit the
   // generator does not run at all.
   const auto flat =
       pipe.run("flatten", &as.flats, "slflat1|" + skey, [&] {
         const rtlgen::MacroDesign md = rtlgen::gen_macro(sc, &as.modules);
-        netlist::StitchResult sr =
-            netlist::stitch_flatten(md.design, md.top, &as.blocks);
-        return std::move(sr.nl);
+        return netlist::flatten(md.design, md.top);
       });
 
   SliceEval ev;

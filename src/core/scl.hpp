@@ -44,7 +44,7 @@ struct SliceEval {
 
 /// The SynDCIM Subcircuit Library (SCL).
 ///
-/// Characterization runs as a staged pipeline (gen+stitch -> floorplan ->
+/// Characterization runs as a staged pipeline (gen+flatten -> floorplan ->
 /// route -> sta -> activity -> power) over a content-addressed
 /// ArtifactStore; each stage skips when its input key is already present.
 /// Because the slice content key normalizes the column count, every

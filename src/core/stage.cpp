@@ -16,53 +16,40 @@ void ArtifactStore::attach_blob_store(BlobStore* l2) {
   core::attach_blob_store(*this, l2);
 }
 
+template <typename Self, typename F>
+void ArtifactStore::for_each_tier(Self& self, F&& f) {
+  f(self.modules);
+  f(self.flats);
+  f(self.activity);
+  f(self.lints);
+  f(self.placed);
+  f(self.routes);
+  f(self.timings);
+  f(self.powers);
+  f(self.act_models);
+}
+
 std::size_t ArtifactStore::flush_l2() {
   std::size_t n = 0;
-  n += modules.flush_l2();
-  n += blocks.flush_l2();
-  n += flats.flush_l2();
-  n += activity.flush_l2();
-  n += lints.flush_l2();
-  n += placed.flush_l2();
-  n += routes.flush_l2();
-  n += timings.flush_l2();
-  n += powers.flush_l2();
-  n += act_models.flush_l2();
+  for_each_tier(*this, [&](auto& tier) { n += tier.flush_l2(); });
   return n;
 }
 
 void ArtifactStore::set_enabled(bool on) {
-  modules.set_enabled(on);
-  blocks.set_enabled(on);
-  flats.set_enabled(on);
-  activity.set_enabled(on);
-  lints.set_enabled(on);
-  placed.set_enabled(on);
-  routes.set_enabled(on);
-  timings.set_enabled(on);
-  powers.set_enabled(on);
-  act_models.set_enabled(on);
+  for_each_tier(*this, [&](auto& tier) { tier.set_enabled(on); });
 }
 
 void ArtifactStore::set_capacity(std::size_t max_entries,
                                  std::size_t max_bytes) {
-  modules.set_capacity(max_entries, max_bytes);
-  blocks.set_capacity(max_entries, max_bytes);
-  flats.set_capacity(max_entries, max_bytes);
-  activity.set_capacity(max_entries, max_bytes);
-  lints.set_capacity(max_entries, max_bytes);
-  placed.set_capacity(max_entries, max_bytes);
-  routes.set_capacity(max_entries, max_bytes);
-  timings.set_capacity(max_entries, max_bytes);
-  powers.set_capacity(max_entries, max_bytes);
-  act_models.set_capacity(max_entries, max_bytes);
+  for_each_tier(*this,
+                [&](auto& tier) { tier.set_capacity(max_entries, max_bytes); });
 }
 
 std::vector<ArtifactTierStats> ArtifactStore::stats() const {
-  return {modules.stats(), blocks.stats(),  flats.stats(),
-          activity.stats(), lints.stats(),  placed.stats(),
-          routes.stats(),  timings.stats(), powers.stats(),
-          act_models.stats()};
+  std::vector<ArtifactTierStats> out;
+  for_each_tier(*this,
+                [&](const auto& tier) { out.push_back(tier.stats()); });
+  return out;
 }
 
 std::uint64_t ArtifactStore::total_hits() const {

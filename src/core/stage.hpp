@@ -11,7 +11,7 @@
 #include "core/diag.hpp"
 #include "layout/floorplan.hpp"
 #include "lint/lint.hpp"
-#include "netlist/stitch.hpp"
+#include "netlist/flatten.hpp"
 #include "obs/obs.hpp"
 #include "power/activity.hpp"
 #include "power/power.hpp"
@@ -76,7 +76,7 @@ void replay_diags(const std::vector<Diagnostic>& diags, DiagEngine& sink);
 ///
 /// Keys are 32-hex content digests (see ArtifactHasher) prefixed with a
 /// stage/version tag. What a key covers is stage-specific:
-///  - modules / blocks / flats: generator parameters only (netlist
+///  - modules / flats: generator parameters only (netlist
 ///    structure is library-independent),
 ///  - activity: group structure + boundary probabilities + workload spec
 ///    + library fingerprint,
@@ -94,7 +94,6 @@ struct ArtifactStore {
   ArtifactStore();
 
   rtlgen::ModuleCache modules{"modules"};
-  netlist::FlatBlockCache blocks{"blocks"};
   ArtifactCache<netlist::FlatNetlist> flats{"flats"};
   power::ActivityCache activity{"activity"};
   ArtifactCache<LintArtifact> lints{"lints"};
@@ -116,7 +115,7 @@ struct ArtifactStore {
   void set_capacity(std::size_t max_entries, std::size_t max_bytes = 0);
 
   /// Attaches `l2` (e.g. a DiskBlobStore) as the durable layer under all
-  /// ten tiers, wiring each tier's binary codec; nullptr detaches. With
+  /// nine tiers, wiring each tier's binary codec; nullptr detaches. With
   /// an L2 attached, lookups read through on L1 miss and inserts are
   /// written back by flush_l2() or on eviction. `l2` is not owned.
   void attach_blob_store(BlobStore* l2);
@@ -141,6 +140,12 @@ struct ArtifactStore {
   /// registry as `<prefix>.<tier>.{hits,misses,entries}` (no-op when
   /// observability is disabled).
   void publish_metrics(const std::string& prefix = "artifact") const;
+
+ private:
+  /// Calls `f` on every tier of `self`, in declaration order: the one
+  /// list of tiers the store-wide operations iterate.
+  template <typename Self, typename F>
+  static void for_each_tier(Self& self, F&& f);
 };
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@
 #include "dse/shard.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "netlist/stitch.hpp"
+#include "netlist/flatten.hpp"
 #include "rtlgen/macro.hpp"
 
 namespace syndcim::dse {
@@ -452,12 +452,7 @@ void lint_frontier_points(const cell::Library& lib,
     }();
     const netlist::FlatNetlist flat = [&] {
       obs::PhaseScope phase(fp.timeline, "map");
-      // Stitch pre-flattened subcircuit blocks (byte-identical to a
-      // monolithic flatten; a search that ran in this process already
-      // populated the block tier with this point's subcircuits).
-      return std::move(
-          netlist::stitch_flatten(macro.design, macro.top, &store.blocks)
-              .nl);
+      return netlist::flatten(macro.design, macro.top);
     }();
     obs::PhaseScope phase(fp.timeline, "lint");
     core::DiagEngine diag;

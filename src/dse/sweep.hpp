@@ -124,7 +124,8 @@ struct SweepReport {
   std::vector<FrontierPoint> frontier;
   EvalCacheStats cache;
   /// Per-tier hit/miss/occupancy of the subcircuit-artifact store
-  /// (modules, blocks, flats, activity, ... — see core::ArtifactStore).
+  /// (modules, flats, activity, ... — the nine tiers of
+  /// core::ArtifactStore).
   std::vector<core::ArtifactTierStats> artifacts;
   WorkStealingPool::Stats pool;
   double wall_ms = 0.0;
@@ -158,7 +159,7 @@ struct SweepReport {
 [[nodiscard]] std::vector<FrontierPoint> merge_global_frontier(
     const std::vector<SpecResult>& per_spec);
 
-/// The sequential frontier lint run_sweep performs (rtlgen → stitch →
+/// The sequential frontier lint run_sweep performs (rtlgen → flatten →
 /// lint per point, deterministic order); fills lint_errors/lint_warnings
 /// and per-point timelines. Shared with dse::merge_shards.
 void lint_frontier_points(const cell::Library& lib,

@@ -1,24 +1,19 @@
 #include "netlist/flatten.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
+
+#include "obs/obs.hpp"
 
 namespace syndcim::netlist {
 
 namespace {
 
+constexpr std::uint32_t kUnset = UINT32_MAX;
+
 struct Interner {
   std::unordered_map<std::string, std::uint32_t> map;
-};
-
-struct FlattenCtx {
-  const Design& design;
-  FlatNetlist& out;
-  Interner masters;
-  Interner pins;
-  Interner groups;
-  std::uint32_t shared_const0 = UINT32_MAX;
-  std::uint32_t shared_const1 = UINT32_MAX;
 };
 
 std::uint32_t intern(Interner& in, const std::string& name,
@@ -30,73 +25,133 @@ std::uint32_t intern(Interner& in, const std::string& name,
   return id;
 }
 
-/// Recursively expands `m`. `port_nets` maps each of m's local port nets to
-/// a flat net id chosen by the parent; other local nets get fresh flat ids.
-void expand(FlattenCtx& ctx, const Module& m,
-            const std::unordered_map<std::uint32_t, std::uint32_t>& port_nets,
-            std::uint32_t group) {
-  std::vector<std::uint32_t> local2flat(m.nets().size(), UINT32_MAX);
-  for (const auto& [local, flat] : port_nets) local2flat[local] = flat;
+/// The by-name lookups of one module body, resolved once per flatten()
+/// call: per instance the interned master id (cells) or the submodule
+/// (submodule instances), and per connection, in instance order, the
+/// interned pin id (cells) or the submodule's port net. Filled during the
+/// module's first expansion in expansion order, so masters and pins are
+/// interned in first-use order exactly as an unmemoized walk would.
+struct ModuleRefs {
+  std::vector<std::uint32_t> masters;
+  std::vector<const Module*> subs;
+  std::vector<std::uint32_t> pins;
+  bool complete = false;
+};
 
-  const std::string& group_name = ctx.out.group_names()[group];
+struct FlattenCtx {
+  const Design& design;
+  FlatNetlist& out;
+  Interner masters;
+  Interner pins;
+  Interner groups;
+  std::unordered_map<const Module*, ModuleRefs> refs;
+  std::uint32_t shared_const0 = kUnset;
+  std::uint32_t shared_const1 = kUnset;
+};
+
+/// Recursively expands `m`. `local2flat` maps m's local nets to flat nets
+/// (kUnset = not yet allocated); the parent presets the port nets, every
+/// other local net gets a fresh flat id on first use. The top module
+/// (`top`) names its nets unprefixed and tags each depth-1 submodule
+/// instance with its own group; below it, nets are named
+/// "<group>.<local name>" and every gate inherits `group`.
+void expand(FlattenCtx& ctx, const Module& m,
+            std::vector<std::uint32_t> local2flat, std::uint32_t group,
+            bool top) {
+  ModuleRefs& refs = ctx.refs[&m];
+  const bool fill = !refs.complete;
+  // Groups are only interned while expanding the top, so below it the
+  // prefix reference stays valid for the whole expansion.
+  const std::string* prefix = top ? nullptr : &ctx.out.group_names()[group];
+
   auto flat_net = [&](NetId local) -> std::uint32_t {
     std::uint32_t& slot = local2flat[local.v];
-    if (slot != UINT32_MAX) return slot;
-    const NetConst tie = m.net(local).tie;
+    if (slot != kUnset) return slot;
+    const Net& net = m.net(local);
     // Share one flat net per constant value design-wide.
-    if (tie == NetConst::kZero) {
-      if (ctx.shared_const0 == UINT32_MAX) {
-        ctx.shared_const0 = ctx.out.new_net(tie, "const0");
+    if (net.tie == NetConst::kZero) {
+      if (ctx.shared_const0 == kUnset) {
+        ctx.shared_const0 = ctx.out.new_net(net.tie, "const0");
       }
       slot = ctx.shared_const0;
-    } else if (tie == NetConst::kOne) {
-      if (ctx.shared_const1 == UINT32_MAX) {
-        ctx.shared_const1 = ctx.out.new_net(tie, "const1");
+    } else if (net.tie == NetConst::kOne) {
+      if (ctx.shared_const1 == kUnset) {
+        ctx.shared_const1 = ctx.out.new_net(net.tie, "const1");
       }
       slot = ctx.shared_const1;
+    } else if (prefix == nullptr) {
+      slot = ctx.out.new_net(net.tie, net.name);
     } else {
-      slot = ctx.out.new_net(tie, group_name + "." + m.net(local).name);
+      std::string name;
+      name.reserve(prefix->size() + 1 + net.name.size());
+      name.append(*prefix).append(1, '.').append(net.name);
+      slot = ctx.out.new_net(net.tie, std::move(name));
     }
     return slot;
   };
 
-  for (const Instance& inst : m.instances()) {
+  const std::span<const Instance> insts = m.instances();
+  std::size_t k = 0;  // connection cursor into refs.pins
+  for (std::size_t i = 0; i < insts.size(); ++i) {
+    const Instance& inst = insts[i];
+    if (fill) {
+      if (inst.is_cell) {
+        refs.masters.push_back(
+            intern(ctx.masters, inst.master, [&](const std::string& n) {
+              return ctx.out.intern_master(n);
+            }));
+        refs.subs.push_back(nullptr);
+      } else {
+        refs.masters.push_back(kUnset);
+        refs.subs.push_back(&ctx.design.module(inst.master));
+      }
+    }
     if (inst.is_cell) {
       FlatNetlist::Gate g;
-      g.master = intern(ctx.masters, inst.master, [&](const std::string& n) {
-        return ctx.out.intern_master(n);
-      });
+      g.master = refs.masters[i];
       g.group = group;
       g.pins.reserve(inst.conns.size());
       for (const Conn& c : inst.conns) {
-        const std::uint32_t pin =
-            intern(ctx.pins, c.pin, [&](const std::string& n) {
-              return ctx.out.intern_pin(n);
-            });
-        g.pins.push_back({pin, flat_net(c.net)});
+        if (fill) {
+          refs.pins.push_back(intern(ctx.pins, c.pin,
+                                     [&](const std::string& n) {
+                                       return ctx.out.intern_pin(n);
+                                     }));
+        }
+        g.pins.push_back({refs.pins[k++], flat_net(c.net)});
       }
       ctx.out.add_gate(std::move(g));
       continue;
     }
-    const Module& sub = ctx.design.module(inst.master);
-    std::unordered_map<std::uint32_t, std::uint32_t> sub_ports;
+    const std::uint32_t sub_group =
+        top ? intern(ctx.groups, inst.name,
+                     [&](const std::string& n) {
+                       return ctx.out.intern_group(n);
+                     })
+            : group;
+    const Module& sub = *refs.subs[i];
+    // The submodule's local port nets, bound to flat nets chosen here; the
+    // first connection to a port net wins.
+    std::vector<std::uint32_t> sub_map(sub.nets().size(), kUnset);
     for (const Conn& c : inst.conns) {
-      const Port& p = sub.port(c.pin);
-      sub_ports.emplace(p.net.v, flat_net(c.net));
+      if (fill) refs.pins.push_back(sub.port(c.pin).net.v);
+      const std::uint32_t port_net = refs.pins[k++];
+      const std::uint32_t flat = flat_net(c.net);
+      if (sub_map[port_net] == kUnset) sub_map[port_net] = flat;
     }
     for (const Port& p : sub.ports()) {
-      if (sub_ports.contains(p.net.v)) continue;
+      if (sub_map[p.net.v] != kUnset) continue;
       if (p.dir == PortDir::kIn) {
-        throw std::invalid_argument("flatten: unconnected input port " +
-                                    p.name + " on instance " + inst.name +
-                                    " of " + sub.name());
+        throw std::invalid_argument(
+            "flatten: unconnected input port " + p.name + " on instance " +
+            inst.name + (top ? std::string() : " of " + sub.name()));
       }
-      sub_ports.emplace(
-          p.net.v, ctx.out.new_net(NetConst::kNone,
-                                   inst.name + "." + p.name + ".nc"));
+      sub_map[p.net.v] = ctx.out.new_net(NetConst::kNone,
+                                         inst.name + "." + p.name + ".nc");
     }
-    expand(ctx, sub, sub_ports, group);
+    expand(ctx, sub, std::move(sub_map), sub_group, false);
   }
+  refs.complete = true;
 }
 
 }  // namespace
@@ -136,19 +191,22 @@ std::uint32_t FlatNetlist::output_net(std::string_view name) const {
 }
 
 FlatNetlist flatten(const Design& d, const std::string& top) {
+  OBS_SPAN("netlist.flatten");
   const std::vector<std::string> problems = validate(d, top);
   if (!problems.empty()) {
     throw std::invalid_argument("flatten: design invalid: " + problems[0] +
                                 (problems.size() > 1 ? " (+more)" : ""));
   }
   FlatNetlist out;
-  FlattenCtx ctx{d, out, {}, {}, {}};
+  FlattenCtx ctx{d, out, {}, {}, {}, {}};
   const Module& t = d.module(top);
 
-  std::unordered_map<std::uint32_t, std::uint32_t> top_ports;
+  // Every top port becomes a primary I/O net; ports aliasing one local
+  // net all bind it to the first port's flat net.
+  std::vector<std::uint32_t> top_map(t.nets().size(), kUnset);
   for (const Port& p : t.ports()) {
     const std::uint32_t net = out.new_net(t.net(p.net).tie, p.name);
-    top_ports.emplace(p.net.v, net);
+    if (top_map[p.net.v] == kUnset) top_map[p.net.v] = net;
     if (p.dir == PortDir::kIn) {
       out.add_primary_input(p.name, net);
     } else {
@@ -160,68 +218,7 @@ FlatNetlist flatten(const Design& d, const std::string& top) {
   // each get their own group for path-group classification and placement.
   const std::uint32_t top_group = out.intern_group(top);
   ctx.groups.map.emplace(top, top_group);
-
-  // Expand top manually so depth-1 instances can be tagged.
-  const Module& m = t;
-  std::vector<std::uint32_t> local2flat(m.nets().size(), UINT32_MAX);
-  for (const auto& [local, flat] : top_ports) local2flat[local] = flat;
-  auto flat_net = [&](NetId local) -> std::uint32_t {
-    std::uint32_t& slot = local2flat[local.v];
-    if (slot != UINT32_MAX) return slot;
-    const NetConst tie = m.net(local).tie;
-    if (tie == NetConst::kZero) {
-      if (ctx.shared_const0 == UINT32_MAX) {
-        ctx.shared_const0 = out.new_net(tie, "const0");
-      }
-      slot = ctx.shared_const0;
-    } else if (tie == NetConst::kOne) {
-      if (ctx.shared_const1 == UINT32_MAX) {
-        ctx.shared_const1 = out.new_net(tie, "const1");
-      }
-      slot = ctx.shared_const1;
-    } else {
-      slot = out.new_net(tie, m.net(local).name);
-    }
-    return slot;
-  };
-
-  for (const Instance& inst : m.instances()) {
-    if (inst.is_cell) {
-      FlatNetlist::Gate g;
-      g.master = intern(ctx.masters, inst.master, [&](const std::string& n) {
-        return out.intern_master(n);
-      });
-      g.group = top_group;
-      for (const Conn& c : inst.conns) {
-        const std::uint32_t pin =
-            intern(ctx.pins, c.pin,
-                   [&](const std::string& n) { return out.intern_pin(n); });
-        g.pins.push_back({pin, flat_net(c.net)});
-      }
-      out.add_gate(std::move(g));
-      continue;
-    }
-    const std::uint32_t group = intern(
-        ctx.groups, inst.name,
-        [&](const std::string& n) { return out.intern_group(n); });
-    const Module& sub = d.module(inst.master);
-    std::unordered_map<std::uint32_t, std::uint32_t> sub_ports;
-    for (const Conn& c : inst.conns) {
-      const Port& p = sub.port(c.pin);
-      sub_ports.emplace(p.net.v, flat_net(c.net));
-    }
-    for (const Port& p : sub.ports()) {
-      if (sub_ports.contains(p.net.v)) continue;
-      if (p.dir == PortDir::kIn) {
-        throw std::invalid_argument("flatten: unconnected input port " +
-                                    p.name + " on instance " + inst.name);
-      }
-      sub_ports.emplace(p.net.v,
-                        out.new_net(NetConst::kNone,
-                                    inst.name + "." + p.name + ".nc"));
-    }
-    expand(ctx, sub, sub_ports, group);
-  }
+  expand(ctx, t, std::move(top_map), top_group, /*top=*/true);
   return out;
 }
 

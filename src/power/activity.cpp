@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "power/activity_kernel.hpp"
 
 namespace syndcim::power {
@@ -116,6 +117,7 @@ std::vector<std::uint32_t> iota_ids(std::size_t n) {
 ActivityModel activity_from_sim(const FlatNetlist& nl,
                                 const cell::Library& lib,
                                 const sim::GateSim& gs) {
+  OBS_SPAN("power.activity_from_sim");
   if (gs.cycles() == 0) {
     throw std::invalid_argument("activity_from_sim: no cycles simulated");
   }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "netlist/levelize.hpp"
+#include "obs/obs.hpp"
 
 namespace syndcim::sim {
 
@@ -52,6 +53,7 @@ void index_ports(const std::vector<FlatNetlist::PrimaryIo>& ios,
 GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes,
                  bool event_driven)
     : nl_(nl), lanes_(lanes), event_driven_(event_driven) {
+  OBS_SPAN("sim.build");
   if (lanes < 1 || lanes > 64) {
     throw std::invalid_argument("GateSim: lanes must be in [1, 64]");
   }

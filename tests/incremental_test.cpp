@@ -1,9 +1,9 @@
 // Cold-vs-incremental equivalence tests of the content-addressed
-// subcircuit-artifact pipeline: stitch_flatten vs flatten byte-identity,
-// grouped activity propagation, stage skipping inside implement() and the
-// subcircuit library, NET-* diagnostic routing, and the one-knob-delta
-// sweep whose frontier JSON must be byte-identical with the artifact tier
-// on or off.
+// subcircuit-artifact pipeline: flatten() output pinned to recorded
+// digests and matched by the stitch_flatten() shim, grouped activity
+// propagation, stage skipping inside implement() and the subcircuit
+// library, NET-* diagnostic routing, and the one-knob-delta sweep whose
+// frontier JSON must be byte-identical with the artifact tier on or off.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cell/characterize.hpp"
+#include "core/artifact_cache.hpp"
 #include "core/compiler.hpp"
 #include "core/diskstore.hpp"
 #include "core/scl.hpp"
@@ -23,6 +24,7 @@
 #include "dse/eval_cache.hpp"
 #include "dse/sweep.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/serialize.hpp"
 #include "netlist/stitch.hpp"
 #include "power/activity.hpp"
 #include "rtlgen/content_key.hpp"
@@ -121,38 +123,38 @@ void expect_impl_equal(const core::Implementation& a,
   }
 }
 
-TEST(Stitch, MatchesFlattenAcrossConfigs) {
-  for (const rtlgen::MacroConfig& cfg : config_variants()) {
-    const rtlgen::MacroDesign md = rtlgen::gen_macro(cfg);
-    const netlist::FlatNetlist ref = netlist::flatten(md.design, md.top);
-    const netlist::StitchResult sr =
-        netlist::stitch_flatten(md.design, md.top);
-    EXPECT_TRUE(netlist::flat_netlist_equal(ref, sr.nl))
-        << rtlgen::config_content_key(cfg);
-    EXPECT_FALSE(sr.netlist_key.empty());
-    // Repeated subcircuits (columns, OFU groups) splice one build.
-    EXPECT_GT(sr.stats.blocks_reused, 0u);
+TEST(Flatten, MatchesParentDigestsAcrossConfigs) {
+  // Digests of encode_flat_netlist(flatten(...)) recorded from the
+  // recursive flatten() as it was before it gained per-call port maps and
+  // module lookup tables: net order and names, gate order and the
+  // first-use interning of masters, pins and groups must not move.
+  const std::vector<std::string> expected = {
+      "47c398ed6c09ad4603aa905daade4607",
+      "72865cc77b8c783dd995a2b28f5a1aec",
+      "440589411ac8890f1b40732c6e8c4712",
+      "88708bc70423c2cf25ef6228eaa81024",
+  };
+  const std::vector<rtlgen::MacroConfig> cfgs = config_variants();
+  ASSERT_EQ(cfgs.size(), expected.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const rtlgen::MacroDesign md = rtlgen::gen_macro(cfgs[i]);
+    core::ArtifactHasher h;
+    h.str(netlist::encode_flat_netlist(netlist::flatten(md.design, md.top)));
+    EXPECT_EQ(h.hex(), expected[i]) << rtlgen::config_content_key(cfgs[i]);
   }
 }
 
-TEST(Stitch, SharedCacheReusesBlocksAcrossConfigs) {
-  netlist::FlatBlockCache cache("blocks");
-  const rtlgen::MacroConfig a = small_cfg();
-  rtlgen::MacroConfig b = small_cfg();
-  b.cols = 16;  // one-knob delta: same column subcircuit, more instances
-
-  const rtlgen::MacroDesign mda = rtlgen::gen_macro(a);
-  const netlist::StitchResult ra =
-      netlist::stitch_flatten(mda.design, mda.top, &cache);
-  const rtlgen::MacroDesign mdb = rtlgen::gen_macro(b);
-  const netlist::StitchResult rb =
-      netlist::stitch_flatten(mdb.design, mdb.top, &cache);
-
-  // The second design builds almost nothing: its column block is already
-  // in the shared tier.
-  EXPECT_LT(rb.stats.blocks_built, ra.stats.blocks_built);
-  EXPECT_TRUE(netlist::flat_netlist_equal(
-      rb.nl, netlist::flatten(mdb.design, mdb.top)));
+TEST(Stitch, MatchesFlattenAcrossConfigs) {
+  // stitch_flatten() is kept as a shim for the benchmark harness; it must
+  // hand back flatten()'s netlist byte for byte.
+  for (const rtlgen::MacroConfig& cfg : config_variants()) {
+    const rtlgen::MacroDesign md = rtlgen::gen_macro(cfg);
+    const netlist::StitchResult sr =
+        netlist::stitch_flatten(md.design, md.top);
+    EXPECT_EQ(netlist::encode_flat_netlist(sr.nl),
+              netlist::encode_flat_netlist(netlist::flatten(md.design, md.top)))
+        << rtlgen::config_content_key(cfg);
+  }
 }
 
 TEST(GroupedActivity, ColdAndWarmAreByteIdentical) {

@@ -307,4 +307,82 @@ TEST(Flatten, MasterAndPinInterning) {
   EXPECT_EQ(ha, 2);
 }
 
+/// Three levels: top chains two "mid" instances, each mid chains two
+/// "leaf" inverters through an internal net. Every module body is expanded
+/// more than once, so instances after the first reuse its resolved
+/// masters, pins and port nets.
+Design make_inverter_chain_design() {
+  Design d;
+  Module leaf("leaf");
+  const NetId la = leaf.add_port("A", PortDir::kIn);
+  const NetId ly = leaf.add_port("Y", PortDir::kOut);
+  leaf.add_cell("inv", "INVX1", {{"A", la}, {"Y", ly}});
+  d.add_module(std::move(leaf));
+  Module mid("mid");
+  const NetId mi = mid.add_port("I", PortDir::kIn);
+  const NetId mo = mid.add_port("O", PortDir::kOut);
+  const NetId link = mid.add_net("link");
+  mid.add_submodule("l0", "leaf", {{"A", mi}, {"Y", link}});
+  mid.add_submodule("l1", "leaf", {{"Y", mo}, {"A", link}});
+  d.add_module(std::move(mid));
+  Module top("top");
+  const NetId x = top.add_port("x", PortDir::kIn);
+  const NetId y = top.add_port("y", PortDir::kOut);
+  const NetId w = top.add_net("w");
+  top.add_submodule("m0", "mid", {{"I", x}, {"O", w}});
+  top.add_submodule("m1", "mid", {{"I", w}, {"O", y}});
+  d.add_module(std::move(top));
+  return d;
+}
+
+TEST(Flatten, NestedInstancesResolveThroughPortMaps) {
+  const Design d = make_inverter_chain_design();
+  const FlatNetlist f = flatten(d, "top");
+  ASSERT_EQ(f.gates().size(), 4u);
+  ASSERT_EQ(f.pin_names().size(), 2u);  // A, Y
+  ASSERT_EQ(f.group_names().size(), 3u);  // top, m0, m1
+  EXPECT_EQ(f.group_names()[1], "m0");
+  EXPECT_EQ(f.group_names()[2], "m1");
+  // x, y, w and one "link" per mid instance; leaf ports add no nets.
+  EXPECT_EQ(f.net_count(), 5u);
+
+  auto pin_net = [&](const FlatNetlist::Gate& g, const std::string& pin) {
+    for (const auto& pc : g.pins) {
+      if (f.pin_names()[pc.pin_name] == pin) return pc.net;
+    }
+    ADD_FAILURE() << "gate has no pin " << pin;
+    return UINT32_MAX;
+  };
+  // The gates form one chain x -> inv -> inv -> inv -> inv -> y.
+  std::uint32_t prev = f.input_net("x");
+  for (std::size_t i = 0; i < f.gates().size(); ++i) {
+    const FlatNetlist::Gate& g = f.gates()[i];
+    EXPECT_EQ(pin_net(g, "A"), prev) << "gate " << i;
+    EXPECT_EQ(g.group, i < 2 ? 1u : 2u) << "gate " << i;
+    prev = pin_net(g, "Y");
+  }
+  EXPECT_EQ(prev, f.output_net("y"));
+  // Internal nets below the top are named after their depth-1 group.
+  EXPECT_EQ(f.net_name(pin_net(f.gates()[0], "Y")), "m0.link");
+  EXPECT_EQ(f.net_name(pin_net(f.gates()[2], "Y")), "m1.link");
+  EXPECT_EQ(f.net_name(pin_net(f.gates()[1], "Y")), "w");
+}
+
+TEST(Flatten, RepeatedAndSubtreeCallsAreIndependent) {
+  const Design d = make_inverter_chain_design();
+  const std::string whole = encode_flat_netlist(flatten(d, "top"));
+  const FlatNetlist sub = flatten(d, "mid");
+  // A second call starts from fresh lookup tables: same bytes again.
+  EXPECT_EQ(encode_flat_netlist(flatten(d, "top")), whole);
+  // Flattening a lower module as top names its nets unprefixed and tags
+  // its depth-1 instances as groups, however the module was used before.
+  ASSERT_EQ(sub.gates().size(), 2u);
+  ASSERT_EQ(sub.group_names().size(), 3u);  // mid, l0, l1
+  EXPECT_EQ(sub.group_names()[1], "l0");
+  EXPECT_EQ(sub.net_count(), 3u);  // I, O, link
+  EXPECT_EQ(sub.net_name(2), "link");
+  EXPECT_EQ(sub.gates()[0].group, 1u);
+  EXPECT_EQ(sub.gates()[1].group, 2u);
+}
+
 }  // namespace

@@ -61,7 +61,7 @@ Result measure(const cell::Library& lib, const Variant& v, int rows) {
     }
     gs.step();
   }
-  const auto act = power::activity_from_sim(flat, lib, gs);
+  const auto act = power::activity_from_sim(gs);
   power::PowerOptions popt;
   popt.freq_mhz = 1000.0;  // uW at 1 GHz == fJ per evaluation
   r.energy_fj = power::analyze_power(flat, lib, act, popt).dynamic_uw();

@@ -50,7 +50,11 @@ std::vector<std::string> write_artifacts(const CompileResult& result,
     sta::write_sdc(opt, os);
     written.push_back(p);
   }
-  const netlist::FlatNetlist flat = netlist::flatten(macro.design, macro.top);
+  if (!result.impl.flat) {
+    throw std::invalid_argument(
+        "write_artifacts: implementation carries no flattened netlist");
+  }
+  const netlist::FlatNetlist& flat = *result.impl.flat;
   {
     const std::string p = dir + "/sdp_place.tcl";
     auto os = open_out(p);

@@ -82,10 +82,12 @@ class BinReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
-  [[nodiscard]] std::string str() {
+  [[nodiscard]] std::string str() { return std::string(str_view()); }
+  /// Like str(), but a view into the payload (valid while it lives).
+  [[nodiscard]] std::string_view str_view() {
     const std::uint32_t n = u32();
     need(n);
-    std::string s(data_.substr(pos_, n));
+    const std::string_view s = data_.substr(pos_, n);
     pos_ += n;
     return s;
   }

@@ -1,10 +1,12 @@
 #include "core/compiler.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 #include "num/int_ops.hpp"
 #include "rtlgen/content_key.hpp"
 #include "sim/macro_tb.hpp"
@@ -139,6 +141,15 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
   const auto flat = pipe.run("map", &as.flats, "flatm1|" + ckey, [&] {
     return netlist::flatten(impl.macro.design, impl.macro.top);
   });
+  impl.flat = flat;
+
+  // One resolution against the library, shared by lint, STA, simulation
+  // and power; built by the first stage that misses its tier.
+  std::optional<netlist::ResolvedNetlist> resolved;
+  const auto rn = [&]() -> const netlist::ResolvedNetlist& {
+    if (!resolved) resolved.emplace(*flat, lib_);
+    return *resolved;
+  };
 
   // Static netlist checks before any physical or timing work: an
   // error-severity finding means the netlist itself is broken and every
@@ -147,7 +158,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
       pipe.run("lint", &as.lints, "lint1|" + lkey, [&] {
         LintArtifact la;
         DiagEngine dg;
-        la.summary = lint::lint_netlist(*flat, lib_, dg);
+        la.summary = lint::lint_netlist(rn(), dg);
         la.diags = dg.diags();
         return la;
       });
@@ -188,7 +199,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
       pipe.run("sta", &as.timings, "sta2|" + lkey + "|" + skey, [&] {
         TimingArtifact ta;
         DiagEngine dg;
-        sta::StaEngine sta(*flat, lib_);
+        sta::StaEngine sta(rn());
         sta::StaOptions topt;
         topt.clock_period_ps = spec.period_ps();
         topt.write_period_ps = spec.write_period_ps();
@@ -220,7 +231,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
               wl.weight_bits =
                   std::min(wl.weight_bits, cfg.max_weight_bits());
               wl.lanes = std::clamp(wl.lanes, 1, 64);
-              sim::MacroTestbench tb(impl.macro, lib_, wl.lanes);
+              sim::MacroTestbench tb(impl.macro, rn(), wl.lanes);
               sim::DcimMacroModel model(cfg);
               {
                 OBS_SPAN("sim.workload");
@@ -232,15 +243,15 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
                   .inc(tb.sim().events_skipped());
               obs::metrics().gauge("sim.lanes").set(
                   static_cast<double>(tb.sim().lanes()));
-              return power::activity_from_sim(*flat, lib_, tb.sim());
+              return power::activity_from_sim(tb.sim());
             });
         power::PowerOptions popt;
         popt.vdd = spec.vdd;
         popt.freq_mhz = power_freq_mhz;
         popt.wire = route->wire;
         PowerArtifact pa;
-        pa.power = power::analyze_power(*flat, lib_, *act, popt);
-        pa.area = power::analyze_area(*flat, lib_);
+        pa.power = power::analyze_power(rn(), *act, popt);
+        pa.area = power::analyze_area(rn());
         return pa;
       });
   impl.power = pw->power;
@@ -282,7 +293,7 @@ CompileResult SynDcimCompiler::compile(const PerfSpec& spec,
                                       spec.pref.performance);
             });
   if (order.empty()) {
-    throw std::logic_error("SynDcimCompiler::compile: spec infeasible");
+    throw InfeasibleSpec("SynDcimCompiler::compile: spec infeasible");
   }
   for (const DesignPoint* p : order) {
     if (cancel != nullptr) cancel->check("compile.implement");

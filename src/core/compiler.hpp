@@ -1,5 +1,6 @@
 #pragma once
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include <vector>
@@ -38,6 +39,9 @@ struct Workload {
 /// "synthesis + APR + DRC/LVS + post-layout simulation" stage).
 struct Implementation {
   rtlgen::MacroDesign macro;
+  /// The `map` stage's flattened netlist (shared with the flats tier);
+  /// the bundle writer reuses it instead of flattening again.
+  std::shared_ptr<const netlist::FlatNetlist> flat;
   layout::Floorplan floorplan;
   lint::LintSummary lint;        ///< netlist static checks (pre-signoff)
   DiagEngine diagnostics;        ///< lint/STA/floorplan findings
@@ -76,6 +80,14 @@ struct CompileResult {
   Implementation impl;
 };
 
+/// No design point of the search qualified for the spec: the compile has
+/// nothing to implement. A std::logic_error, so existing handlers of the
+/// compile's errors still catch it.
+class InfeasibleSpec : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 /// End-to-end SynDCIM compiler: specification -> MSO search -> selected
 /// Pareto design -> full macro elaboration -> SDP placement ->
 /// DRC/LVS -> post-layout STA and simulation-based power (paper Fig. 2
@@ -91,7 +103,8 @@ class SynDcimCompiler {
                   std::shared_ptr<ArtifactStore> store)
       : lib_(lib), scl_(lib, std::move(store)), searcher_(scl_) {}
 
-  /// Full flow at the spec's PPA preference. `cancel` (optional) is
+  /// Full flow at the spec's PPA preference; throws InfeasibleSpec when
+  /// the search finds no design point. `cancel` (optional) is
   /// polled cooperatively — between search and each implementation
   /// attempt, and at every stage boundary inside implement() — and
   /// unwinds the flow with CancelledError when tripped; partial state is

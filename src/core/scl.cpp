@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "layout/floorplan.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 #include "power/power.hpp"
 #include "rtlgen/content_key.hpp"
 #include "rtlgen/macro.hpp"
@@ -63,6 +65,14 @@ SliceEval SubcircuitLibrary::slice(const MacroConfig& cfg) {
   ev.slice_cols = sc.cols;
   ev.gate_count = flat->gates().size();
 
+  // One resolution against the library, shared by the analysis stages;
+  // built by the first stage that misses its tier.
+  std::optional<netlist::ResolvedNetlist> resolved;
+  const auto rn = [&]() -> const netlist::ResolvedNetlist& {
+    if (!resolved) resolved.emplace(*flat, lib_);
+    return *resolved;
+  };
+
   // Characterize the slice post-placement so the searcher's estimates see
   // extracted wire parasitics (the cross-region accumulator and OFU nets
   // dominate the fused configurations' timing).
@@ -85,7 +95,7 @@ SliceEval SubcircuitLibrary::slice(const MacroConfig& cfg) {
   ports.cfg = sc;
 
   const auto timing = pipe.run("sta", &as.timings, "slsta2|" + lkey, [&] {
-    sta::StaEngine sta(*flat, lib_);
+    sta::StaEngine sta(rn());
     sta::StaOptions topt;
     topt.clock_period_ps = kRefPeriodPs;
     topt.write_period_ps = kRefPeriodPs;
@@ -114,7 +124,7 @@ SliceEval SubcircuitLibrary::slice(const MacroConfig& cfg) {
   const auto act = pipe.run<power::ActivityModel>(
       "activity", &as.act_models, "slact2|" + lkey, [&] {
         return power::propagate_activity_grouped(
-            *flat, lib_, power::ActivitySpec{}, &as.activity);
+            rn(), power::ActivitySpec{}, &as.activity);
       });
 
   const auto pw = pipe.run("power", &as.powers, "slpow2|" + lkey, [&] {
@@ -122,8 +132,8 @@ SliceEval SubcircuitLibrary::slice(const MacroConfig& cfg) {
     popt.vdd = lib_.node().vdd_nominal;
     popt.freq_mhz = 1000.0;  // 1 GHz reference: uW == fJ/cycle
     PowerArtifact pa;
-    pa.power = power::analyze_power(*flat, lib_, *act, popt);
-    pa.area = power::analyze_area(*flat, lib_);
+    pa.power = power::analyze_power(rn(), *act, popt);
+    pa.area = power::analyze_area(rn());
     return pa;
   });
 

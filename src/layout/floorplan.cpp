@@ -297,7 +297,7 @@ double total_hpwl_um(const FlatNetlist& nl, const Floorplan& fp) {
     if (!fp.placed[g]) continue;
     const Rect& r = fp.gate_rects[g];
     const double cx = r.x + r.w / 2, cy = r.y + r.h / 2;
-    for (const auto& pc : nl.gates()[g].pins) {
+    for (const auto& pc : nl.gate_pins(g)) {
       BBox& b = boxes[pc.net];
       b.x0 = std::min(b.x0, cx);
       b.y0 = std::min(b.y0, cy);
@@ -327,7 +327,7 @@ sta::WireModel extract_wire_model(const FlatNetlist& nl, const Floorplan& fp,
     if (!fp.placed[g]) continue;
     const Rect& r = fp.gate_rects[g];
     const double cx = r.x + r.w / 2, cy = r.y + r.h / 2;
-    for (const auto& pc : nl.gates()[g].pins) {
+    for (const auto& pc : nl.gate_pins(g)) {
       BBox& b = boxes[pc.net];
       b.x0 = std::min(b.x0, cx);
       b.y0 = std::min(b.y0, cy);

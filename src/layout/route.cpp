@@ -38,7 +38,7 @@ RouteReport global_route(const netlist::FlatNetlist& nl, const Floorplan& fp,
     const Rect& r = fp.gate_rects[i];
     const Pt c{static_cast<float>(r.x + r.w / 2),
                static_cast<float>(r.y + r.h / 2)};
-    for (const auto& pc : nl.gates()[i].pins) {
+    for (const auto& pc : nl.gate_pins(i)) {
       pins[pc.net].push_back(c);
     }
   }

@@ -64,8 +64,8 @@ class Reporter {
 };
 
 std::string net_label(const FlatNetlist& nl, std::uint32_t net) {
-  const std::string& name = nl.net_name(net);
-  return name.empty() ? "net#" + std::to_string(net) : name;
+  const std::string_view name = nl.net_name(net);
+  return name.empty() ? "net#" + std::to_string(net) : std::string(name);
 }
 
 std::string gate_label(const FlatNetlist& nl, std::uint32_t g) {
@@ -97,18 +97,26 @@ bool split_bus_bit(const std::string& name, std::string& base, int& index) {
 
 LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
                          core::DiagEngine& diag, const LintOptions& opt) {
+  return lint_netlist(netlist::ResolvedNetlist(nl, lib), diag, opt);
+}
+
+LintSummary lint_netlist(const netlist::ResolvedNetlist& rn,
+                         core::DiagEngine& diag, const LintOptions& opt) {
   Reporter rep(diag, opt);
+  const FlatNetlist& nl = rn.netlist();
   const std::size_t n_gates = nl.gates().size();
   const std::size_t n_nets = nl.net_count();
 
-  // Resolve each interned master against the library once.
-  std::vector<const cell::Cell*> masters(nl.master_names().size(), nullptr);
-  for (std::size_t m = 0; m < masters.size(); ++m) {
-    masters[m] = lib.find(nl.master_names()[m]);
-  }
+  // Masters and (master, pin name) pairs come resolved: a master the
+  // library lacks has no cell; pin_of is the cell pin index of one
+  // connection of gate g (-1: no such pin).
+  const auto pin_of = [&](std::uint32_t g,
+                          const FlatNetlist::PinConn& pc) {
+    return rn.pin_of(nl.gates()[g].master, pc.pin_name);
+  };
   if (opt.check_pins) {
-    for (std::size_t m = 0; m < masters.size(); ++m) {
-      if (masters[m]) continue;
+    for (std::uint32_t m = 0; m < nl.master_names().size(); ++m) {
+      if (rn.master_cell(m)) continue;
       std::size_t uses = 0;
       for (const auto& g : nl.gates()) uses += g.master == m ? 1 : 0;
       rep.emit(core::Severity::kError, "LINT-UNKNOWN-CELL",
@@ -139,20 +147,19 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   for (const auto& io : nl.primary_outputs()) ++nets[io.net].loads;
 
   for (std::uint32_t g = 0; g < n_gates; ++g) {
-    const auto& gate = nl.gates()[g];
-    const cell::Cell* cell = masters[gate.master];
+    const cell::Cell* cell = rn.cell(g);
     if (!cell) {
       // Unknown master: count conservative connectivity so its nets are
       // not reported floating/dangling on top of the unknown-cell error.
-      for (const auto& pc : gate.pins) {
+      for (const auto& pc : nl.gate_pins(g)) {
         ++nets[pc.net].drivers;
         ++nets[pc.net].loads;
       }
       continue;
     }
     std::vector<bool> connected(cell->pins.size(), false);
-    for (const auto& pc : gate.pins) {
-      const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+    for (const auto& pc : nl.gate_pins(g)) {
+      const int pi = pin_of(g, pc);
       if (pi < 0) {
         if (opt.check_pins) {
           rep.emit(core::Severity::kError, "LINT-UNKNOWN-PIN",
@@ -217,32 +224,22 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
   std::vector<bool> in_loop;                       // per comb node
   if (need_graph) {
     for (std::uint32_t g = 0; g < n_gates; ++g) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
+      const cell::Cell* cell = rn.cell(g);
       if (cell &&
           cell->timing_role() == cell::TimingRole::kCombinational) {
         node_of[g] = static_cast<std::int32_t>(comb.size());
         comb.push_back(g);
       }
     }
-    // Net -> combinational loads, then driver -> load edges.
-    std::vector<std::vector<std::int32_t>> net_loads(n_nets);
-    for (const std::uint32_t g : comb) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
-        if (pi >= 0 && cell->pins[pi].is_input) {
-          net_loads[pc.net].push_back(node_of[g]);
-        }
-      }
-    }
+    // Driver -> load edges over the resolved combinational loads.
     adj.resize(comb.size());
     for (const std::uint32_t g : comb) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      const cell::Cell* cell = rn.cell(g);
+      for (const auto& pc : nl.gate_pins(g)) {
+        const int pi = pin_of(g, pc);
         if (pi >= 0 && !cell->pins[pi].is_input) {
-          for (const std::int32_t w : net_loads[pc.net]) {
-            adj[node_of[g]].push_back(w);
+          for (const std::uint32_t w : rn.comb_loads(pc.net)) {
+            adj[node_of[g]].push_back(node_of[w]);
           }
         }
       }
@@ -328,16 +325,16 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
     // bit (capped at 64 distinct clocks).
     std::map<std::uint32_t, int> clock_bit;  // clock net -> bit
     auto clock_net_of = [&](std::uint32_t g) -> std::int64_t {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      const cell::Cell* cell = rn.cell(g);
+      for (const auto& pc : nl.gate_pins(g)) {
+        const int pi = pin_of(g, pc);
         if (pi >= 0 && cell->pins[pi].is_clock) return pc.net;
       }
       return -1;
     };
     std::vector<std::int64_t> gate_clock(n_gates, -1);
     for (std::uint32_t g = 0; g < n_gates; ++g) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
+      const cell::Cell* cell = rn.cell(g);
       if (!cell || cell->timing_role() != cell::TimingRole::kRegister) {
         continue;
       }
@@ -364,9 +361,9 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
     // Seed: every register output net launches in its own clock domain.
     for (std::uint32_t g = 0; g < n_gates; ++g) {
       if (gate_clock[g] < 0) continue;
-      const cell::Cell* cell = masters[nl.gates()[g].master];
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      const cell::Cell* cell = rn.cell(g);
+      for (const auto& pc : nl.gate_pins(g)) {
+        const int pi = pin_of(g, pc);
         if (pi >= 0 && !cell->pins[pi].is_input) {
           nets[pc.net].domains |= bit_of(gate_clock[g]);
         }
@@ -385,17 +382,17 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
     for (std::size_t qi = 0; qi < queue.size(); ++qi) {
       const std::int32_t v = queue[qi];
       const std::uint32_t g = comb[v];
-      const cell::Cell* cell = masters[nl.gates()[g].master];
+      const cell::Cell* cell = rn.cell(g);
       std::uint64_t in_domains = 0;
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      for (const auto& pc : nl.gate_pins(g)) {
+        const int pi = pin_of(g, pc);
         if (pi >= 0 && cell->pins[pi].is_input) {
           in_domains |=
               nets[pc.net].domains | nets[pc.net].comb_domains;
         }
       }
-      for (const auto& pc : nl.gates()[g].pins) {
-        const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+      for (const auto& pc : nl.gate_pins(g)) {
+        const int pi = pin_of(g, pc);
         if (pi >= 0 && !cell->pins[pi].is_input) {
           nets[pc.net].comb_domains |= in_domains;
         }
@@ -432,13 +429,13 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
       }
     }
     for (std::uint32_t g = 0; g < n_gates; ++g) {
-      const cell::Cell* cell = masters[nl.gates()[g].master];
+      const cell::Cell* cell = rn.cell(g);
       if (!cell) continue;
       const cell::TimingRole role = cell->timing_role();
       if (role == cell::TimingRole::kRegister) {
         const std::uint64_t own = bit_of(gate_clock[g]);
-        for (const auto& pc : nl.gates()[g].pins) {
-          const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+        for (const auto& pc : nl.gate_pins(g)) {
+          const int pi = pin_of(g, pc);
           if (pi < 0 || !cell->pins[pi].is_input ||
               cell->pins[pi].is_clock) {
             continue;
@@ -451,8 +448,8 @@ LintSummary lint_netlist(const FlatNetlist& nl, const cell::Library& lib,
       } else if (role == cell::TimingRole::kStorage && have_write_clock) {
         // Storage cells never synchronize: even a direct foreign-domain
         // register output on a write pin is a violation.
-        for (const auto& pc : nl.gates()[g].pins) {
-          const int pi = cell->pin_index(nl.pin_names()[pc.pin_name]);
+        for (const auto& pc : nl.gate_pins(g)) {
+          const int pi = pin_of(g, pc);
           if (pi < 0 || !cell->pins[pi].is_input) continue;
           const std::uint64_t offending =
               (nets[pc.net].domains | nets[pc.net].comb_domains) &

@@ -6,6 +6,7 @@
 #include "core/diag.hpp"
 #include "netlist/design.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 
 namespace syndcim::lint {
 
@@ -60,6 +61,8 @@ struct LintSummary {
 /// detection (Tarjan SCC over the combinational gate graph), and
 /// clock-domain-crossing endpoints. Findings land in `diag`; `source` of
 /// each finding is the depth-1 subcircuit group of the offending gate.
+LintSummary lint_netlist(const netlist::ResolvedNetlist& rn,
+                         core::DiagEngine& diag, const LintOptions& opt = {});
 LintSummary lint_netlist(const netlist::FlatNetlist& nl,
                          const cell::Library& lib, core::DiagEngine& diag,
                          const LintOptions& opt = {});

@@ -69,8 +69,9 @@ void validate_module(const Design& d, const Module& m,
       continue;
     }
     const Module& sub = d.module(inst.master);
-    for (const Conn& c : inst.conns) {
-      if (!sub.has_port(c.pin)) {
+    for (std::size_t i = 0; i < inst.conns.size(); ++i) {
+      const Conn& c = inst.conns[i];
+      if (!sub.has_port(c.pin, i)) {
         diag.error("NET-NOPORT",
                    m.name() + "/" + inst.name + ": no port '" + c.pin +
                        "' on module " + inst.master,

@@ -82,10 +82,7 @@ void expand(FlattenCtx& ctx, const Module& m,
     } else if (prefix == nullptr) {
       slot = ctx.out.new_net(net.tie, net.name);
     } else {
-      std::string name;
-      name.reserve(prefix->size() + 1 + net.name.size());
-      name.append(*prefix).append(1, '.').append(net.name);
-      slot = ctx.out.new_net(net.tie, std::move(name));
+      slot = ctx.out.new_net(net.tie, *prefix, net.name);
     }
     return slot;
   };
@@ -107,10 +104,7 @@ void expand(FlattenCtx& ctx, const Module& m,
       }
     }
     if (inst.is_cell) {
-      FlatNetlist::Gate g;
-      g.master = refs.masters[i];
-      g.group = group;
-      g.pins.reserve(inst.conns.size());
+      ctx.out.add_gate(refs.masters[i], group);
       for (const Conn& c : inst.conns) {
         if (fill) {
           refs.pins.push_back(intern(ctx.pins, c.pin,
@@ -118,9 +112,9 @@ void expand(FlattenCtx& ctx, const Module& m,
                                        return ctx.out.intern_pin(n);
                                      }));
         }
-        g.pins.push_back({refs.pins[k++], flat_net(c.net)});
+        const std::uint32_t pin = refs.pins[k++];
+        ctx.out.add_pin(pin, flat_net(c.net));
       }
-      ctx.out.add_gate(std::move(g));
       continue;
     }
     const std::uint32_t sub_group =
@@ -133,8 +127,9 @@ void expand(FlattenCtx& ctx, const Module& m,
     // The submodule's local port nets, bound to flat nets chosen here; the
     // first connection to a port net wins.
     std::vector<std::uint32_t> sub_map(sub.nets().size(), kUnset);
-    for (const Conn& c : inst.conns) {
-      if (fill) refs.pins.push_back(sub.port(c.pin).net.v);
+    for (std::size_t ci = 0; ci < inst.conns.size(); ++ci) {
+      const Conn& c = inst.conns[ci];
+      if (fill) refs.pins.push_back(sub.port(c.pin, ci).net.v);
       const std::uint32_t port_net = refs.pins[k++];
       const std::uint32_t flat = flat_net(c.net);
       if (sub_map[port_net] == kUnset) sub_map[port_net] = flat;
@@ -168,10 +163,25 @@ std::uint32_t FlatNetlist::intern_group(const std::string& name) {
   group_names_.push_back(name);
   return static_cast<std::uint32_t>(group_names_.size() - 1);
 }
-std::uint32_t FlatNetlist::new_net(NetConst tie, std::string name) {
+std::uint32_t FlatNetlist::new_net(NetConst tie, std::string_view name) {
   net_consts_.push_back(tie);
-  net_names_.push_back(std::move(name));
+  name_chars_.append(name);
+  name_end_.push_back(static_cast<std::uint32_t>(name_chars_.size()));
   return static_cast<std::uint32_t>(net_consts_.size() - 1);
+}
+
+std::uint32_t FlatNetlist::new_net(NetConst tie, std::string_view prefix,
+                                   std::string_view name) {
+  net_consts_.push_back(tie);
+  name_chars_.append(prefix).append(1, '.').append(name);
+  name_end_.push_back(static_cast<std::uint32_t>(name_chars_.size()));
+  return static_cast<std::uint32_t>(net_consts_.size() - 1);
+}
+
+void FlatNetlist::reserve(std::size_t gates, std::size_t pins) {
+  gates_.reserve(gates);
+  pin_begin_.reserve(gates + 1);
+  pins_.reserve(pins);
 }
 
 std::uint32_t FlatNetlist::input_net(std::string_view name) const {

@@ -1,6 +1,8 @@
 #pragma once
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/design.hpp"
@@ -10,7 +12,12 @@ namespace syndcim::netlist {
 /// Flattened gate-level view of a hierarchical design. All hierarchy is
 /// expanded; nets are globally indexed; cell masters and pin names are
 /// interned so downstream engines (STA, simulation, power, layout) resolve
-/// them once against the cell library.
+/// them once against the cell library (netlist::ResolvedNetlist).
+///
+/// Layout: every gate's pin connections live in one pin CSR (`pin_begin_`
+/// per gate plus one PinConn array, in connection order), and every net
+/// name in one character arena with per-net end offsets, so a netlist of
+/// N gates and M nets costs a handful of allocations instead of N + M.
 class FlatNetlist {
  public:
   struct PinConn {
@@ -20,7 +27,6 @@ class FlatNetlist {
   struct Gate {
     std::uint32_t master;    ///< index into master_names()
     std::uint32_t group;     ///< index into group_names(); top-level inst
-    std::vector<PinConn> pins;
   };
   struct PrimaryIo {
     std::string name;
@@ -28,6 +34,12 @@ class FlatNetlist {
   };
 
   [[nodiscard]] const std::vector<Gate>& gates() const { return gates_; }
+  /// Gate `g`'s pin connections, in instance connection order.
+  [[nodiscard]] std::span<const PinConn> gate_pins(std::uint32_t g) const {
+    return {pins_.data() + pin_begin_[g], pins_.data() + pin_begin_[g + 1]};
+  }
+  /// Total pin connections over all gates.
+  [[nodiscard]] std::size_t pin_count() const { return pins_.size(); }
   [[nodiscard]] std::size_t net_count() const { return net_consts_.size(); }
   [[nodiscard]] const std::vector<std::string>& master_names() const {
     return master_names_;
@@ -51,8 +63,9 @@ class FlatNetlist {
   }
   /// Best-effort hierarchical net name for reports and lint diagnostics
   /// ("<group>.<local name>"); may be empty for synthesized nets.
-  [[nodiscard]] const std::string& net_name(std::uint32_t net) const {
-    return net_names_[net];
+  [[nodiscard]] std::string_view net_name(std::uint32_t net) const {
+    const std::uint32_t b = net == 0 ? 0 : name_end_[net - 1];
+    return {name_chars_.data() + b, name_end_[net] - b};
   }
 
   /// Primary input/output net by port name; throws if absent.
@@ -63,8 +76,22 @@ class FlatNetlist {
   std::uint32_t intern_master(const std::string& name);
   std::uint32_t intern_pin(const std::string& name);
   std::uint32_t intern_group(const std::string& name);
-  std::uint32_t new_net(NetConst tie, std::string name = {});
-  void add_gate(Gate g) { gates_.push_back(std::move(g)); }
+  std::uint32_t new_net(NetConst tie, std::string_view name = {});
+  /// New net named "<prefix>.<name>", written straight into the arena.
+  std::uint32_t new_net(NetConst tie, std::string_view prefix,
+                        std::string_view name);
+  /// Appends a gate with no pins; add_pin() then connects its pins in
+  /// order (pins always attach to the last gate added).
+  void add_gate(std::uint32_t master, std::uint32_t group) {
+    gates_.push_back({master, group});
+    pin_begin_.push_back(pin_begin_.back());
+  }
+  void add_pin(std::uint32_t pin_name, std::uint32_t net) {
+    pins_.push_back({pin_name, net});
+    ++pin_begin_.back();
+  }
+  /// Capacity hints for bulk gate construction (decode).
+  void reserve(std::size_t gates, std::size_t pins);
   void add_primary_input(std::string name, std::uint32_t net) {
     primary_inputs_.push_back({std::move(name), net});
   }
@@ -74,11 +101,14 @@ class FlatNetlist {
 
  private:
   std::vector<Gate> gates_;
+  std::vector<std::uint32_t> pin_begin_{0};  ///< per gate + 1, into pins_
+  std::vector<PinConn> pins_;
   std::vector<std::string> master_names_;
   std::vector<std::string> pin_names_;
   std::vector<std::string> group_names_;
   std::vector<NetConst> net_consts_;
-  std::vector<std::string> net_names_;
+  std::string name_chars_;               ///< all net names, concatenated
+  std::vector<std::uint32_t> name_end_;  ///< per net, end offset in arena
   std::vector<PrimaryIo> primary_inputs_;
   std::vector<PrimaryIo> primary_outputs_;
 };

@@ -1,39 +1,25 @@
 #include "netlist/levelize.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace syndcim::netlist {
+
+std::string comb_loop_message(std::string_view who,
+                              std::size_t unschedulable) {
+  return std::string(who) + ": combinational loop detected (" +
+         std::to_string(unschedulable) + " gates unschedulable)";
+}
 
 std::vector<std::vector<std::uint32_t>> levelize(
     const FlatNetlist& nl, const std::vector<LevelizeGate>& gates,
     std::string_view who) {
   const std::size_t ngates = gates.size();
-
-  // A net is initially "resolved" if nothing combinational drives it: a
-  // primary input, a constant, a dangling net, or a register/storage Q.
-  std::vector<std::uint8_t> resolved(nl.net_count(), 1);
-  for (std::size_t g = 0; g < ngates; ++g) {
-    if (!gates[g].combinational) continue;
-    for (const std::uint32_t net : gates[g].out_nets) {
-      if (net != kNoConn && nl.net_const(net) == NetConst::kNone) {
-        resolved[net] = 0;
-      }
-    }
-  }
-
-  // Combinational loads of each unresolved net as a CSR, in (gate, pin)
-  // order: count, prefix-sum, fill.
-  std::vector<std::uint32_t> pending(ngates, 0);
+  // Combinational loads of each net as a CSR, in (gate, pin) order.
   std::vector<std::uint32_t> load_begin(nl.net_count() + 1, 0);
-  std::size_t comb_total = 0;
-  for (std::uint32_t g = 0; g < ngates; ++g) {
-    if (!gates[g].combinational) continue;
-    ++comb_total;
-    for (const std::uint32_t net : gates[g].in_nets) {
-      if (net == kNoConn || resolved[net]) continue;
-      ++pending[g];
-      ++load_begin[net + 1];
+  for (const LevelizeGate& g : gates) {
+    if (!g.combinational) continue;
+    for (const std::uint32_t net : g.in_nets) {
+      if (net != kNoConn) ++load_begin[net + 1];
     }
   }
   for (std::size_t n = 0; n < nl.net_count(); ++n) {
@@ -44,36 +30,26 @@ std::vector<std::vector<std::uint32_t>> levelize(
   for (std::uint32_t g = 0; g < ngates; ++g) {
     if (!gates[g].combinational) continue;
     for (const std::uint32_t net : gates[g].in_nets) {
-      if (net == kNoConn || resolved[net]) continue;
-      loads[fill[net]++] = g;
+      if (net != kNoConn) loads[fill[net]++] = g;
     }
   }
 
-  std::vector<std::vector<std::uint32_t>> levels;
-  std::vector<std::uint32_t> frontier;
-  for (std::uint32_t g = 0; g < ngates; ++g) {
-    if (gates[g].combinational && pending[g] == 0) frontier.push_back(g);
+  std::vector<std::uint32_t> order, level_begin;
+  const auto each = [](const std::vector<std::uint32_t>& nets, auto&& f) {
+    for (const std::uint32_t net : nets) f(net);
+  };
+  const std::size_t unscheduled = levelize_csr(
+      nl, ngates, [&](std::uint32_t g) { return gates[g].combinational; },
+      [&](std::uint32_t g, auto&& f) { each(gates[g].in_nets, f); },
+      [&](std::uint32_t g, auto&& f) { each(gates[g].out_nets, f); },
+      load_begin.data(), loads.data(), order, level_begin);
+  if (unscheduled != 0) {
+    throw std::invalid_argument(comb_loop_message(who, unscheduled));
   }
-  std::size_t scheduled = 0;
-  while (!frontier.empty()) {
-    levels.push_back(frontier);
-    scheduled += frontier.size();
-    std::vector<std::uint32_t> next;
-    for (const std::uint32_t g : levels.back()) {
-      for (const std::uint32_t net : gates[g].out_nets) {
-        if (net == kNoConn || resolved[net]) continue;
-        resolved[net] = 1;
-        for (std::uint32_t i = load_begin[net]; i < load_begin[net + 1]; ++i) {
-          if (--pending[loads[i]] == 0) next.push_back(loads[i]);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  if (scheduled != comb_total) {
-    throw std::invalid_argument(
-        std::string(who) + ": combinational loop detected (" +
-        std::to_string(comb_total - scheduled) + " gates unschedulable)");
+  std::vector<std::vector<std::uint32_t>> levels(level_begin.size() - 1);
+  for (std::size_t l = 0; l + 1 < level_begin.size(); ++l) {
+    levels[l].assign(order.begin() + level_begin[l],
+                     order.begin() + level_begin[l + 1]);
   }
   return levels;
 }

@@ -91,10 +91,17 @@ void Module::index_last_port() {
       [&](const std::string& n, std::uint32_t i) {
         return n < ports_[i].name;
       });
+  if (it != port_order_.begin() && ports_[*(it - 1)].name == name) {
+    repeated_port_names_ = true;
+  }
   port_order_.insert(it, pos);
 }
 
-const Port* Module::find_port(std::string_view name) const {
+const Port* Module::find_port(std::string_view name, std::size_t hint) const {
+  if (hint < ports_.size() && !repeated_port_names_ &&
+      ports_[hint].name == name) {
+    return &ports_[hint];
+  }
   const auto it = std::lower_bound(
       port_order_.begin(), port_order_.end(), name,
       [&](std::uint32_t i, std::string_view n) { return ports_[i].name < n; });
@@ -102,8 +109,8 @@ const Port* Module::find_port(std::string_view name) const {
   return &ports_[*it];
 }
 
-const Port& Module::port(std::string_view name) const {
-  if (const Port* p = find_port(name)) return *p;
+const Port& Module::port(std::string_view name, std::size_t hint) const {
+  if (const Port* p = find_port(name, hint)) return *p;
   throw std::out_of_range("Module::port: no port '" + std::string(name) +
                           "' in module " + name_);
 }

@@ -84,10 +84,15 @@ class Module {
   [[nodiscard]] const Net& net(NetId id) const { return nets_.at(id.v); }
 
   /// Port lookup by name (the first-added port when names repeat);
-  /// throws std::out_of_range if absent. Both are O(log ports).
-  [[nodiscard]] const Port& port(std::string_view name) const;
-  [[nodiscard]] bool has_port(std::string_view name) const {
-    return find_port(name) != nullptr;
+  /// throws std::out_of_range if absent. Both are O(log ports), or O(1)
+  /// when `hint` is the port's position: instances mostly connect a
+  /// submodule's ports in declaration order, so a caller walking an
+  /// instance's connections passes the connection index.
+  [[nodiscard]] const Port& port(std::string_view name,
+                                 std::size_t hint = SIZE_MAX) const;
+  [[nodiscard]] bool has_port(std::string_view name,
+                              std::size_t hint = SIZE_MAX) const {
+    return find_port(name, hint) != nullptr;
   }
 
   /// Number of cell instances (excluding submodule instances).
@@ -110,7 +115,8 @@ class Module {
   [[nodiscard]] NetId const1_id() const { return const1_; }
 
  private:
-  [[nodiscard]] const Port* find_port(std::string_view name) const;
+  [[nodiscard]] const Port* find_port(std::string_view name,
+                                      std::size_t hint) const;
   void index_last_port();
 
   std::string name_;
@@ -120,6 +126,7 @@ class Module {
   /// binary-search without a second copy of the names and the first-added
   /// of equally named ports sorts first.
   std::vector<std::uint32_t> port_order_;
+  bool repeated_port_names_ = false;  ///< a hit at the hint may not be first
   std::vector<Instance> instances_;
   NetId const0_{};
   NetId const1_{};

@@ -150,11 +150,13 @@ std::string encode_flat_netlist(const FlatNetlist& nl) {
     w.str(nl.net_name(i));
   }
   w.u32(static_cast<std::uint32_t>(nl.gates().size()));
-  for (const FlatNetlist::Gate& g : nl.gates()) {
+  for (std::uint32_t i = 0; i < nl.gates().size(); ++i) {
+    const FlatNetlist::Gate& g = nl.gates()[i];
+    const auto pins = nl.gate_pins(i);
     w.u32(g.master);
     w.u32(g.group);
-    w.u32(static_cast<std::uint32_t>(g.pins.size()));
-    for (const FlatNetlist::PinConn& pc : g.pins) {
+    w.u32(static_cast<std::uint32_t>(pins.size()));
+    for (const FlatNetlist::PinConn& pc : pins) {
       w.u32(pc.pin_name);
       w.u32(pc.net);
     }
@@ -187,28 +189,28 @@ FlatNetlist decode_flat_netlist(std::string_view payload) {
   const std::uint32_t n_nets = r.len(5);
   for (std::uint32_t i = 0; i < n_nets; ++i) {
     const NetConst tie = dec_tie(r.u8());
-    (void)nl.new_net(tie, r.str());
+    (void)nl.new_net(tie, r.str_view());
   }
   const std::uint32_t n_gates = r.len(12);
+  // Past the 12-byte gate headers, the rest of the payload bounds the pin
+  // connections (8 bytes each).
+  nl.reserve(n_gates, (r.remaining() - 12ull * n_gates) / 8);
   for (std::uint32_t i = 0; i < n_gates; ++i) {
-    FlatNetlist::Gate g;
-    g.master = r.u32();
-    g.group = r.u32();
-    if (g.master >= n_masters || g.group >= n_groups) {
+    const std::uint32_t master = r.u32();
+    const std::uint32_t group = r.u32();
+    if (master >= n_masters || group >= n_groups) {
       throw BinDecodeError("bad gate master/group index");
     }
+    nl.add_gate(master, group);
     const std::uint32_t n_pc = r.len(8);
-    g.pins.reserve(n_pc);
     for (std::uint32_t c = 0; c < n_pc; ++c) {
-      FlatNetlist::PinConn pc;
-      pc.pin_name = r.u32();
-      pc.net = r.u32();
-      if (pc.pin_name >= n_pins || pc.net >= n_nets) {
+      const std::uint32_t pin_name = r.u32();
+      const std::uint32_t net = r.u32();
+      if (pin_name >= n_pins || net >= n_nets) {
         throw BinDecodeError("bad gate pin/net index");
       }
-      g.pins.push_back(pc);
+      nl.add_pin(pin_name, net);
     }
-    nl.add_gate(std::move(g));
   }
   const std::uint32_t n_pi = r.len(8);
   for (std::uint32_t i = 0; i < n_pi; ++i) {
@@ -229,19 +231,23 @@ FlatNetlist decode_flat_netlist(std::string_view payload) {
 }
 
 std::size_t deep_bytes(const FlatNetlist& nl) {
+  // Pin CSR: one offset per gate (+1) and one PinConn per connection;
+  // name arena: the characters plus one end offset per net.
   std::size_t n = deep_vec_bytes(nl.gates()) +
+                  (nl.gates().size() + 1) * sizeof(std::uint32_t) +
+                  nl.pin_count() * sizeof(FlatNetlist::PinConn) +
                   deep_vec_bytes(nl.master_names()) +
                   deep_vec_bytes(nl.pin_names()) +
                   deep_vec_bytes(nl.group_names()) +
-                  nl.net_count() * (sizeof(NetConst) + sizeof(std::string)) +
+                  nl.net_count() *
+                      (sizeof(NetConst) + sizeof(std::uint32_t)) +
                   deep_vec_bytes(nl.primary_inputs()) +
                   deep_vec_bytes(nl.primary_outputs());
-  for (const FlatNetlist::Gate& g : nl.gates()) n += deep_vec_bytes(g.pins);
   for (const std::string& s : nl.master_names()) n += deep_str_bytes(s);
   for (const std::string& s : nl.pin_names()) n += deep_str_bytes(s);
   for (const std::string& s : nl.group_names()) n += deep_str_bytes(s);
   for (std::uint32_t i = 0; i < nl.net_count(); ++i) {
-    n += deep_str_bytes(nl.net_name(i));
+    n += nl.net_name(i).size();
   }
   for (const FlatNetlist::PrimaryIo& io : nl.primary_inputs()) {
     n += deep_str_bytes(io.name);

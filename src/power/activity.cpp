@@ -114,10 +114,9 @@ std::vector<std::uint32_t> iota_ids(std::size_t n) {
 }
 }  // namespace
 
-ActivityModel activity_from_sim(const FlatNetlist& nl,
-                                const cell::Library& lib,
-                                const sim::GateSim& gs) {
+ActivityModel activity_from_sim(const sim::GateSim& gs) {
   OBS_SPAN("power.activity_from_sim");
+  const FlatNetlist& nl = gs.resolved().netlist();
   if (gs.cycles() == 0) {
     throw std::invalid_argument("activity_from_sim: no cycles simulated");
   }
@@ -137,7 +136,7 @@ ActivityModel activity_from_sim(const FlatNetlist& nl,
         static_cast<double>(std::popcount(gs.net_word(n))) / lanes;
   }
   // Clock nets: GateSim's clock is implicit; force 2 transitions/cycle.
-  force_clock_nets(resolve_gates(nl, lib), am);
+  force_clock_nets(resolve_gates(gs.resolved()), am);
   return am;
 }
 
@@ -166,7 +165,19 @@ ActivityModel propagate_activity_grouped(const netlist::FlatNetlist& nl,
                                          ActivityCache* cache,
                                          GroupedActivityStats* stats,
                                          ActivityEngine engine) {
-  const ResolvedGates rg = resolve_gates(nl, lib);
+  return propagate_activity_grouped(netlist::ResolvedNetlist(nl, lib), spec,
+                                    cache, stats, engine);
+}
+
+ActivityModel propagate_activity_grouped(const netlist::ResolvedNetlist& rn,
+                                         const ActivitySpec& spec,
+                                         ActivityCache* cache,
+                                         GroupedActivityStats* stats,
+                                         ActivityEngine engine) {
+  OBS_SPAN("power.activity");
+  const FlatNetlist& nl = rn.netlist();
+  const cell::Library& lib = rn.library();
+  const ResolvedGates rg = resolve_gates(rn);
   const std::vector<ResolvedGate>& gates = rg.gates;
   ActivityModel am = base_model(nl, spec);
 

@@ -7,6 +7,7 @@
 #include "cell/library.hpp"
 #include "core/artifact_cache.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 #include "sim/gate_sim.hpp"
 
 namespace syndcim::power {
@@ -25,9 +26,7 @@ struct ActivityModel {
 /// the final-state lane population (popcount / lanes). Clock nets (nets
 /// driving CK pins) are forced to two transitions per cycle since GateSim
 /// models an implicit clock.
-[[nodiscard]] ActivityModel activity_from_sim(const netlist::FlatNetlist& nl,
-                                              const cell::Library& lib,
-                                              const sim::GateSim& gs);
+[[nodiscard]] ActivityModel activity_from_sim(const sim::GateSim& gs);
 
 /// Workload statistics for the probabilistic estimator.
 struct ActivitySpec {
@@ -83,6 +82,10 @@ struct GroupedActivityStats {
 /// cached activity instead of re-running the fixpoint — across
 /// configurations, specs and sweep workers. Cold (cache == nullptr or
 /// disabled) and warm runs produce byte-identical models by construction.
+[[nodiscard]] ActivityModel propagate_activity_grouped(
+    const netlist::ResolvedNetlist& rn, const ActivitySpec& spec,
+    ActivityCache* cache = nullptr, GroupedActivityStats* stats = nullptr,
+    ActivityEngine engine = ActivityEngine::kSoa);
 [[nodiscard]] ActivityModel propagate_activity_grouped(
     const netlist::FlatNetlist& nl, const cell::Library& lib,
     const ActivitySpec& spec, ActivityCache* cache = nullptr,

@@ -32,115 +32,144 @@ bool canonical_names_match(const cell::Cell& c,
 }
 }  // namespace
 
-ResolvedGates resolve_gates(const FlatNetlist& nl, const cell::Library& lib) {
-  // All string matching (pin names, canonical lists, D/Q role lookup) is
-  // hoisted to one pass over the handful of masters; the per-gate loop
-  // below then runs on integer pin positions only. This function sits on
-  // the per-propagation hot path for both activity engines.
-  struct MasterInfo {
-    const cell::Cell* cell;
-    std::vector<int> pin_of_name;    // netlist pin-name id -> pin index
-    std::vector<std::uint16_t> in_pos;   // pin positions of in_nets order
-    std::vector<std::uint16_t> out_pos;  // pin positions of out_nets order
-    std::vector<std::uint16_t> clock_pos;
-    int d_pin = -1;
-    int q_pin = -1;
-  };
-  const std::size_t n_pin_names = nl.pin_names().size();
-  std::vector<MasterInfo> minfo(nl.master_names().size());
-  for (std::size_t m = 0; m < minfo.size(); ++m) {
-    MasterInfo& mi = minfo[m];
-    mi.cell = &lib.get(nl.master_names()[m]);
-    const cell::Cell& c = *mi.cell;
-    mi.pin_of_name.assign(n_pin_names, -1);
-    for (std::size_t id = 0; id < n_pin_names; ++id) {
-      mi.pin_of_name[id] = c.pin_index(nl.pin_names()[id]);
-    }
+namespace {
+/// Per-master pin roles: the pin positions of the canonical in_nets and
+/// out_nets orders, D/Q by role and the clock pins. All string matching
+/// of the activity engines happens here, once per master.
+struct MasterRoles {
+  const cell::Cell* cell;
+  std::vector<std::uint16_t> in_pos;   // pin positions of in_nets order
+  std::vector<std::uint16_t> out_pos;  // pin positions of out_nets order
+  std::vector<std::uint16_t> clock_pos;
+  int d_pin = -1;
+  int q_pin = -1;
+};
 
-    std::size_t n_in_pins = 0;
-    for (const auto& p : c.pins) n_in_pins += p.is_input ? 1 : 0;
-    const std::size_t n_out_pins = c.pins.size() - n_in_pins;
-    const auto in_names = cell::input_pin_names(c.kind);
-    const auto out_names = cell::output_pin_names(c.kind);
-    if (canonical_names_match(c, in_names, out_names, n_in_pins,
-                              n_out_pins)) {
-      for (const std::string& pn : in_names) {
-        mi.in_pos.push_back(static_cast<std::uint16_t>(c.pin_index(pn)));
-      }
-      for (const std::string& pn : out_names) {
-        mi.out_pos.push_back(static_cast<std::uint16_t>(c.pin_index(pn)));
-      }
-    } else {
-      for (std::size_t i = 0; i < c.pins.size(); ++i) {
-        (c.pins[i].is_input ? mi.in_pos : mi.out_pos)
-            .push_back(static_cast<std::uint16_t>(i));
-      }
+MasterRoles master_roles(const cell::Cell& c) {
+  MasterRoles mi;
+  mi.cell = &c;
+  std::size_t n_in_pins = 0;
+  for (const auto& p : c.pins) n_in_pins += p.is_input ? 1 : 0;
+  const std::size_t n_out_pins = c.pins.size() - n_in_pins;
+  const auto in_names = cell::input_pin_names(c.kind);
+  const auto out_names = cell::output_pin_names(c.kind);
+  if (canonical_names_match(c, in_names, out_names, n_in_pins,
+                            n_out_pins)) {
+    for (const std::string& pn : in_names) {
+      mi.in_pos.push_back(static_cast<std::uint16_t>(c.pin_index(pn)));
     }
-
-    // D/Q by role: name first, structural fallback second.
-    const int dp = c.pin_index("D");
-    if (dp >= 0 && c.pins[static_cast<std::size_t>(dp)].is_input) {
-      mi.d_pin = dp;
-    } else {
-      for (std::size_t i = 0; i < c.pins.size(); ++i) {
-        if (c.pins[i].is_input && !c.pins[i].is_clock) {
-          mi.d_pin = static_cast<int>(i);
-          break;
-        }
-      }
+    for (const std::string& pn : out_names) {
+      mi.out_pos.push_back(static_cast<std::uint16_t>(c.pin_index(pn)));
     }
-    const int qp = c.pin_index("Q");
-    if (qp >= 0 && !c.pins[static_cast<std::size_t>(qp)].is_input) {
-      mi.q_pin = qp;
-    } else {
-      for (std::size_t i = 0; i < c.pins.size(); ++i) {
-        if (!c.pins[i].is_input) {
-          mi.q_pin = static_cast<int>(i);
-          break;
-        }
-      }
-    }
+  } else {
     for (std::size_t i = 0; i < c.pins.size(); ++i) {
-      if (c.pins[i].is_input && c.pins[i].is_clock) {
-        mi.clock_pos.push_back(static_cast<std::uint16_t>(i));
-      }
+      (c.pins[i].is_input ? mi.in_pos : mi.out_pos)
+          .push_back(static_cast<std::uint16_t>(i));
     }
   }
 
-  ResolvedGates out;
+  // D/Q by role: name first, structural fallback second.
+  const int dp = c.pin_index("D");
+  if (dp >= 0 && c.pins[static_cast<std::size_t>(dp)].is_input) {
+    mi.d_pin = dp;
+  } else {
+    for (std::size_t i = 0; i < c.pins.size(); ++i) {
+      if (c.pins[i].is_input && !c.pins[i].is_clock) {
+        mi.d_pin = static_cast<int>(i);
+        break;
+      }
+    }
+  }
+  const int qp = c.pin_index("Q");
+  if (qp >= 0 && !c.pins[static_cast<std::size_t>(qp)].is_input) {
+    mi.q_pin = qp;
+  } else {
+    for (std::size_t i = 0; i < c.pins.size(); ++i) {
+      if (!c.pins[i].is_input) {
+        mi.q_pin = static_cast<int>(i);
+        break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < c.pins.size(); ++i) {
+    if (c.pins[i].is_input && c.pins[i].is_clock) {
+      mi.clock_pos.push_back(static_cast<std::uint16_t>(i));
+    }
+  }
+  return mi;
+}
+
+/// Sizes the net pool exactly (the spans must never move).
+void reserve_pool(ResolvedGates& out, const FlatNetlist& nl,
+                  const std::vector<MasterRoles>& roles) {
   out.gates.reserve(nl.gates().size());
   std::size_t pool_slots = 0;
   for (const auto& fg : nl.gates()) {
     pool_slots +=
-        minfo[fg.master].in_pos.size() + minfo[fg.master].out_pos.size();
+        roles[fg.master].in_pos.size() + roles[fg.master].out_pos.size();
   }
-  out.net_pool.reserve(pool_slots);  // exact: spans below must not move
+  out.net_pool.reserve(pool_slots);
+}
+
+/// Appends one gate given its nets by cell pin index.
+void add_gate(ResolvedGates& out, const MasterRoles& mi,
+              const std::uint32_t* by_pin) {
+  ResolvedGate rg;
+  rg.cell = mi.cell;
+  const std::size_t in_off = out.net_pool.size();
+  for (const std::uint16_t p : mi.in_pos) out.net_pool.push_back(by_pin[p]);
+  const std::size_t out_off = out.net_pool.size();
+  for (const std::uint16_t p : mi.out_pos) out.net_pool.push_back(by_pin[p]);
+  rg.in_nets = {out.net_pool.data() + in_off, mi.in_pos.size()};
+  rg.out_nets = {out.net_pool.data() + out_off, mi.out_pos.size()};
+  rg.d_net = mi.d_pin >= 0 ? by_pin[mi.d_pin] : kNoNet;
+  rg.q_net = mi.q_pin >= 0 ? by_pin[mi.q_pin] : kNoNet;
+  for (const std::uint16_t p : mi.clock_pos) {
+    if (by_pin[p] != kNoNet) out.clock_nets.push_back(by_pin[p]);
+  }
+  out.gates.push_back(rg);
+}
+}  // namespace
+
+ResolvedGates resolve_gates(const FlatNetlist& nl, const cell::Library& lib) {
+  // The scalar control arm's own resolution: pin names are matched per
+  // master here, and each gate's by-pin nets are rebuilt from its
+  // connections.
+  const std::size_t n_pin_names = nl.pin_names().size();
+  std::vector<MasterRoles> roles;
+  std::vector<int> pin_of_name;  // [master * n_pin_names + pin name id]
+  for (const std::string& m : nl.master_names()) {
+    roles.push_back(master_roles(lib.get(m)));
+    for (const std::string& pn : nl.pin_names()) {
+      pin_of_name.push_back(roles.back().cell->pin_index(pn));
+    }
+  }
+  ResolvedGates out;
+  reserve_pool(out, nl, roles);
   std::vector<std::uint32_t> by_pin;
-  for (const auto& fg : nl.gates()) {
-    const MasterInfo& mi = minfo[fg.master];
-    ResolvedGate rg;
-    rg.cell = mi.cell;
-    by_pin.assign(mi.cell->pins.size(), kNoNet);
-    for (const auto& pc : fg.pins) {
-      const int pi = mi.pin_of_name[pc.pin_name];
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    const std::uint32_t m = nl.gates()[g].master;
+    by_pin.assign(roles[m].cell->pins.size(), kNoNet);
+    for (const auto& pc : nl.gate_pins(g)) {
+      const int pi = pin_of_name[m * n_pin_names + pc.pin_name];
       if (pi >= 0) by_pin[static_cast<std::size_t>(pi)] = pc.net;
     }
-    const std::size_t in_off = out.net_pool.size();
-    for (const std::uint16_t p : mi.in_pos) out.net_pool.push_back(by_pin[p]);
-    const std::size_t out_off = out.net_pool.size();
-    for (const std::uint16_t p : mi.out_pos) {
-      out.net_pool.push_back(by_pin[p]);
-    }
-    rg.in_nets = {out.net_pool.data() + in_off, mi.in_pos.size()};
-    rg.out_nets = {out.net_pool.data() + out_off, mi.out_pos.size()};
-    rg.d_net = mi.d_pin >= 0 ? by_pin[static_cast<std::size_t>(mi.d_pin)]
-                             : kNoNet;
-    rg.q_net = mi.q_pin >= 0 ? by_pin[static_cast<std::size_t>(mi.q_pin)]
-                             : kNoNet;
-    for (const std::uint16_t p : mi.clock_pos) {
-      if (by_pin[p] != kNoNet) out.clock_nets.push_back(by_pin[p]);
-    }
-    out.gates.push_back(std::move(rg));
+    add_gate(out, roles[m], by_pin.data());
+  }
+  return out;
+}
+
+ResolvedGates resolve_gates(const netlist::ResolvedNetlist& rn) {
+  const FlatNetlist& nl = rn.netlist();
+  rn.require_known_cells();
+  std::vector<MasterRoles> roles;
+  for (std::uint32_t m = 0; m < nl.master_names().size(); ++m) {
+    roles.push_back(master_roles(*rn.master_cell(m)));
+  }
+  ResolvedGates out;
+  reserve_pool(out, nl, roles);
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    add_gate(out, roles[nl.gates()[g].master], rn.pin_nets(g).data());
   }
   return out;
 }

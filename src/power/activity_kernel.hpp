@@ -5,6 +5,7 @@
 
 #include "cell/library.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 #include "power/activity.hpp"
 
 namespace syndcim::power {
@@ -41,6 +42,13 @@ struct ResolvedGates {
   std::vector<std::uint32_t> net_pool;
 };
 
+/// The canonical per-gate view from a shared resolution (no pin-name
+/// matching per gate); throws the library's lookup error for an unknown
+/// master.
+[[nodiscard]] ResolvedGates resolve_gates(const netlist::ResolvedNetlist& rn);
+/// The same view resolved from pin names. propagate_activity (both of its
+/// engines) keeps this resolution, so the bench/perf_power kernel
+/// comparison measures what it always measured.
 [[nodiscard]] ResolvedGates resolve_gates(const netlist::FlatNetlist& nl,
                                           const cell::Library& lib);
 

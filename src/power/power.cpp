@@ -27,7 +27,15 @@ double AreaReport::group_um2(std::string_view g) const {
 PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
                           const ActivityModel& activity,
                           const PowerOptions& opt) {
+  return analyze_power(netlist::ResolvedNetlist(nl, lib), activity, opt);
+}
+
+PowerReport analyze_power(const netlist::ResolvedNetlist& rn,
+                          const ActivityModel& activity,
+                          const PowerOptions& opt) {
   OBS_SPAN("power.analyze");
+  const FlatNetlist& nl = rn.netlist();
+  const cell::Library& lib = rn.library();
   if (activity.toggle_rate.size() != nl.net_count()) {
     throw std::invalid_argument("analyze_power: activity/netlist mismatch");
   }
@@ -39,10 +47,9 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
   const double l_scale = node.leakage_scale(opt.vdd, opt.temp_c);
   const double v2 = opt.vdd * opt.vdd;
 
-  // Resolve gates once; accumulate per-net cap, driver group, and
-  // per-gate contributions.
-  std::vector<const cell::Cell*> masters;
-  for (const std::string& m : nl.master_names()) masters.push_back(&lib.get(m));
+  // Accumulate per-net cap, driver group, and per-gate contributions, in
+  // connection order (the sums' floating-point order).
+  rn.require_known_cells();
 
   std::vector<double> net_cap(nl.net_count(), 0.0);
   std::vector<int> net_fanout(nl.net_count(), 0);
@@ -54,10 +61,11 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
     rep.by_group[i].group = nl.group_names()[i];
   }
 
-  for (const auto& fg : nl.gates()) {
-    const cell::Cell* c = masters[fg.master];
-    for (const auto& pc : fg.pins) {
-      const int pi = c->pin_index(nl.pin_names()[pc.pin_name]);
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    const FlatNetlist::Gate& fg = nl.gates()[g];
+    const cell::Cell* c = rn.master_cell(fg.master);
+    for (const auto& pc : nl.gate_pins(g)) {
+      const int pi = rn.pin_of(fg.master, pc.pin_name);
       if (pi < 0) continue;
       const cell::Pin& p = c->pins[static_cast<std::size_t>(pi)];
       if (p.is_input) {
@@ -83,11 +91,12 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
   // Cell internal + clock energy, leakage.
   double internal_fj = 0.0, clock_fj = 0.0, leak_nw = 0.0;
   std::vector<double> group_leak_nw(rep.by_group.size(), 0.0);
-  for (const auto& fg : nl.gates()) {
-    const cell::Cell* c = masters[fg.master];
+  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
+    const FlatNetlist::Gate& fg = nl.gates()[g];
+    const cell::Cell* c = rn.master_cell(fg.master);
     double out_toggles = 0.0;
-    for (const auto& pc : fg.pins) {
-      const int pi = c->pin_index(nl.pin_names()[pc.pin_name]);
+    for (const auto& pc : nl.gate_pins(g)) {
+      const int pi = rn.pin_of(fg.master, pc.pin_name);
       if (pi >= 0 && !c->pins[static_cast<std::size_t>(pi)].is_input) {
         out_toggles += activity.toggle_rate[pc.net];
       }
@@ -114,15 +123,20 @@ PowerReport analyze_power(const FlatNetlist& nl, const cell::Library& lib,
 }
 
 AreaReport analyze_area(const FlatNetlist& nl, const cell::Library& lib) {
-  std::vector<const cell::Cell*> masters;
-  for (const std::string& m : nl.master_names()) masters.push_back(&lib.get(m));
+  return analyze_area(netlist::ResolvedNetlist(nl, lib));
+}
+
+AreaReport analyze_area(const netlist::ResolvedNetlist& rn) {
+  OBS_SPAN("power.area");
+  const FlatNetlist& nl = rn.netlist();
+  rn.require_known_cells();
   AreaReport rep;
   rep.by_group.resize(nl.group_names().size());
   for (std::size_t i = 0; i < rep.by_group.size(); ++i) {
     rep.by_group[i].group = nl.group_names()[i];
   }
   for (const auto& fg : nl.gates()) {
-    const cell::Cell* c = masters[fg.master];
+    const cell::Cell* c = rn.master_cell(fg.master);
     rep.total_um2 += c->area_um2;
     (c->is_bitcell() ? rep.bitcell_um2 : rep.logic_um2) += c->area_um2;
     rep.by_group[fg.group].area_um2 += c->area_um2;

@@ -40,7 +40,11 @@ struct PowerReport {
 
 /// Activity-based power analysis: switching power from per-net toggle
 /// rates and capacitive load, internal/clock energy from the cell tables,
-/// leakage from cell leakage at the analysis voltage.
+/// leakage from cell leakage at the analysis voltage. Throws the
+/// library's lookup error for a master it does not have.
+[[nodiscard]] PowerReport analyze_power(const netlist::ResolvedNetlist& rn,
+                                        const ActivityModel& activity,
+                                        const PowerOptions& opt);
 [[nodiscard]] PowerReport analyze_power(const netlist::FlatNetlist& nl,
                                         const cell::Library& lib,
                                         const ActivityModel& activity,
@@ -61,6 +65,7 @@ struct AreaReport {
 
 /// Cell-area roll-up (pre-layout; the layout engine reports the real
 /// outline including whitespace and pitch matching).
+[[nodiscard]] AreaReport analyze_area(const netlist::ResolvedNetlist& rn);
 [[nodiscard]] AreaReport analyze_area(const netlist::FlatNetlist& nl,
                                       const cell::Library& lib);
 

@@ -52,113 +52,87 @@ void index_ports(const std::vector<FlatNetlist::PrimaryIo>& ios,
 
 GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes,
                  bool event_driven)
-    : nl_(nl), lanes_(lanes), event_driven_(event_driven) {
+    : GateSim(std::make_shared<const netlist::ResolvedNetlist>(nl, lib),
+              lanes, event_driven) {}
+
+GateSim::GateSim(std::shared_ptr<const netlist::ResolvedNetlist> owned,
+                 int lanes, bool event_driven)
+    : GateSim(*owned, lanes, event_driven) {
+  owned_ = std::move(owned);
+}
+
+GateSim::GateSim(const netlist::ResolvedNetlist& rn, int lanes,
+                 bool event_driven)
+    : rn_(rn), lanes_(lanes), event_driven_(event_driven) {
   OBS_SPAN("sim.build");
   if (lanes < 1 || lanes > 64) {
     throw std::invalid_argument("GateSim: lanes must be in [1, 64]");
   }
   mask_ = lanes == 64 ? ~0ull : (1ull << lanes) - 1;
 
-  const auto& flat_gates = nl.gates();
-  const std::size_t ngates = flat_gates.size();
+  const FlatNetlist& nl = rn.netlist();
+  rn.require_known_cells();
+  for (const netlist::ResolveDefect& d : rn.defects()) {
+    using K = netlist::ResolveDefect::Kind;
+    const cell::Cell& c = *rn.cell(d.gate);
+    if (d.kind == K::kUnknownPin) {
+      throw std::invalid_argument("GateSim: cell " + c.name + " has no pin " +
+                                  nl.pin_names()[d.pin]);
+    }
+    if (d.kind == K::kUnconnectedInput) {
+      throw std::invalid_argument("GateSim: unconnected input " +
+                                  c.pins[d.pin].name + " on " + c.name);
+    }
+    if (d.kind == K::kMultiDriver) {
+      throw std::invalid_argument("GateSim: multiple drivers on a net");
+    }
+  }
+  if (rn.unscheduled() != 0) {
+    throw std::invalid_argument(
+        netlist::comb_loop_message("GateSim", rn.unscheduled()));
+  }
+
+  const std::size_t ngates = nl.gates().size();
   cells_.reserve(ngates);
   kinds_.reserve(ngates);
   gate_pin_start_.reserve(ngates + 1);
   gate_pin_start_.push_back(0);
   gate_n_in_.reserve(ngates);
-
-  std::vector<const cell::Cell*> master_cells;
-  for (const std::string& m : nl.master_names()) {
-    master_cells.push_back(&lib.get(m));
-  }
-  const auto& pin_names = nl.pin_names();
-
-  std::vector<std::int32_t> driver(nl.net_count(), -1);
-  std::vector<netlist::LevelizeGate> lv(ngates);
-
   for (std::uint32_t g = 0; g < ngates; ++g) {
-    const auto& fg = flat_gates[g];
-    const cell::Cell* c = master_cells[fg.master];
+    const cell::Cell* c = rn.cell(g);
     cells_.push_back(c);
     kinds_.push_back(c->kind);
-    std::vector<std::uint32_t> by_pin(c->pins.size(), kNoNet);
-    for (const auto& pc : fg.pins) {
-      const int pi = c->pin_index(pin_names[pc.pin_name]);
-      if (pi < 0) {
-        throw std::invalid_argument("GateSim: cell " + c->name +
-                                    " has no pin " + pin_names[pc.pin_name]);
-      }
-      by_pin[static_cast<std::size_t>(pi)] = pc.net;
-    }
-    const bool comb = c->timing_role() == cell::TimingRole::kCombinational;
+    const auto nets = rn.pin_nets(g);
     int n_in = 0;
     for (std::size_t pi = 0; pi < c->pins.size(); ++pi) {
       if (!c->pins[pi].is_input) continue;
       ++n_in;
-      if (by_pin[pi] == kNoNet) {
-        throw std::invalid_argument("GateSim: unconnected input " +
-                                    c->pins[pi].name + " on " + c->name);
-      }
-      pin_pool_.push_back(by_pin[pi]);
-      if (comb) lv[g].in_nets.push_back(by_pin[pi]);
+      pin_pool_.push_back(nets[pi]);
     }
     for (std::size_t pi = 0; pi < c->pins.size(); ++pi) {
-      if (c->pins[pi].is_input) continue;
-      const std::uint32_t net = by_pin[pi];
-      pin_pool_.push_back(net);
-      if (comb) lv[g].out_nets.push_back(net);
-      if (net != kNoNet) {
-        if (driver[net] >= 0) {
-          throw std::invalid_argument("GateSim: multiple drivers on a net");
-        }
-        driver[net] = static_cast<std::int32_t>(g);
-      }
+      if (!c->pins[pi].is_input) pin_pool_.push_back(nets[pi]);
     }
     gate_n_in_.push_back(static_cast<std::uint8_t>(n_in));
     gate_pin_start_.push_back(static_cast<std::uint32_t>(pin_pool_.size()));
-    lv[g].combinational = comb;
-    if (!comb) {
+    if (!rn.combinational(g)) {
       seq_gates_.push_back(g);
       if (c->is_bitcell()) bitcells_.push_back(g);
     }
   }
 
-  levels_ = netlist::levelize(nl, lv, "GateSim");
-  for (const auto& level : levels_) comb_total_ += level.size();
-
-  // Event-driven bookkeeping: per-gate level and per-net comb-load CSR.
+  // Event-driven bookkeeping: per-gate level and per-level dirty lists.
   gate_level_.assign(ngates, kNoLevel);
-  for (std::uint32_t l = 0; l < levels_.size(); ++l) {
-    for (const std::uint32_t g : levels_[l]) gate_level_[g] = l;
-  }
-  std::vector<std::uint32_t> load_count(nl.net_count() + 1, 0);
-  for (std::uint32_t g = 0; g < ngates; ++g) {
-    if (gate_level_[g] == kNoLevel) continue;
-    for (std::uint32_t i = gate_pin_start_[g];
-         i < gate_pin_start_[g] + gate_n_in_[g]; ++i) {
-      ++load_count[pin_pool_[i]];
-    }
-  }
-  load_start_.assign(nl.net_count() + 1, 0);
-  for (std::uint32_t n = 0; n < nl.net_count(); ++n) {
-    load_start_[n + 1] = load_start_[n] + load_count[n];
-  }
-  load_pool_.assign(load_start_[nl.net_count()], 0);
-  std::vector<std::uint32_t> fill(nl.net_count(), 0);
-  for (std::uint32_t g = 0; g < ngates; ++g) {
-    if (gate_level_[g] == kNoLevel) continue;
-    for (std::uint32_t i = gate_pin_start_[g];
-         i < gate_pin_start_[g] + gate_n_in_[g]; ++i) {
-      const std::uint32_t net = pin_pool_[i];
-      load_pool_[load_start_[net] + fill[net]++] = g;
-    }
-  }
-  dirty_.resize(levels_.size());
+  dirty_.resize(rn.level_count());
   in_dirty_.assign(ngates, 0);
   // Everything starts unsettled: the first eval() performs one full sweep.
-  for (std::uint32_t l = 0; l < levels_.size(); ++l) {
-    dirty_[l] = levels_[l];
-    for (const std::uint32_t g : levels_[l]) in_dirty_[g] = 1;
+  for (std::uint32_t l = 0; l < rn.level_count(); ++l) {
+    const auto level = rn.level(l);
+    comb_total_ += level.size();
+    dirty_[l].assign(level.begin(), level.end());
+    for (const std::uint32_t g : level) {
+      gate_level_[g] = l;
+      in_dirty_[g] = 1;
+    }
   }
 
   values_.assign(nl.net_count(), 0);
@@ -211,8 +185,7 @@ const std::vector<std::uint32_t>& GateSim::output_bus_nets(
 }
 
 void GateSim::mark_loads_dirty(std::uint32_t net) {
-  for (std::uint32_t i = load_start_[net]; i < load_start_[net + 1]; ++i) {
-    const std::uint32_t g = load_pool_[i];
+  for (const std::uint32_t g : rn_.comb_loads(net)) {
     if (!in_dirty_[g]) {
       in_dirty_[g] = 1;
       dirty_[gate_level_[g]].push_back(g);
@@ -375,8 +348,8 @@ void GateSim::eval() {
     gate_evals_ += evaluated;
     events_skipped_ += comb_total_ - evaluated;
   } else {
-    for (const auto& level : levels_) {
-      for (const std::uint32_t g : level) eval_gate(g);
+    for (std::size_t l = 0; l < rn_.level_count(); ++l) {
+      for (const std::uint32_t g : rn_.level(l)) eval_gate(g);
     }
     gate_evals_ += comb_total_;
   }

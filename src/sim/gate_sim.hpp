@@ -1,5 +1,6 @@
 #pragma once
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -7,6 +8,7 @@
 
 #include "cell/library.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 
 namespace syndcim::sim {
 
@@ -42,7 +44,13 @@ namespace syndcim::sim {
 class GateSim {
  public:
   /// `lanes` in [1, 64]; `event_driven == false` forces the full-sweep
-  /// schedule (control arm — results are identical either way).
+  /// schedule (control arm — results are identical either way). Builds
+  /// over a shared resolution, which must outlive the simulator; throws
+  /// std::invalid_argument for an unknown cell or pin, an unconnected
+  /// input, a net with two gate drivers or a combinational loop.
+  explicit GateSim(const netlist::ResolvedNetlist& rn, int lanes = 1,
+                   bool event_driven = true);
+  /// Resolves `nl` against `lib` privately (same checks).
   GateSim(const netlist::FlatNetlist& nl, const cell::Library& lib,
           int lanes = 1, bool event_driven = true);
 
@@ -115,11 +123,16 @@ class GateSim {
   }
 
   [[nodiscard]] std::size_t gate_count() const { return kinds_.size(); }
+  [[nodiscard]] const netlist::ResolvedNetlist& resolved() const {
+    return rn_;
+  }
   [[nodiscard]] const cell::Cell& gate_cell(std::uint32_t g) const {
     return *cells_[g];
   }
 
  private:
+  GateSim(std::shared_ptr<const netlist::ResolvedNetlist> owned, int lanes,
+          bool event_driven);
   void eval_gate(std::uint32_t g);
   /// Writes a net word, counts lane toggles, and (event-driven) marks the
   /// net's combinational loads dirty.
@@ -131,7 +144,8 @@ class GateSim {
   [[nodiscard]] const std::vector<std::uint32_t>& output_bus_nets(
       std::string_view base) const;
 
-  const netlist::FlatNetlist& nl_;
+  std::shared_ptr<const netlist::ResolvedNetlist> owned_;  // (nl, lib) ctor
+  const netlist::ResolvedNetlist& rn_;
   int lanes_ = 1;
   bool event_driven_ = true;
   std::uint64_t mask_ = 1;                // low `lanes_` bits set
@@ -142,14 +156,11 @@ class GateSim {
   std::vector<std::uint32_t> gate_pin_start_;  // size gates+1
   std::vector<std::uint8_t> gate_n_in_;
 
-  std::vector<std::vector<std::uint32_t>> levels_;  // combinational order
   std::vector<std::uint32_t> seq_gates_;            // registers + bitcells
   std::vector<std::uint32_t> bitcells_;
 
-  // Event-driven worklist: per-net combinational loads (CSR), each comb
-  // gate's level, per-level dirty lists and an in-worklist flag.
-  std::vector<std::uint32_t> load_start_;  // size nets+1
-  std::vector<std::uint32_t> load_pool_;
+  // Event-driven worklist: each comb gate's level (its loads per net come
+  // from the resolution), per-level dirty lists and an in-worklist flag.
   std::vector<std::uint32_t> gate_level_;  // per gate; UINT32_MAX if seq
   std::vector<std::vector<std::uint32_t>> dirty_;  // per level
   std::vector<std::uint8_t> in_dirty_;             // per gate

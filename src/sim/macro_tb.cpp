@@ -17,10 +17,17 @@ namespace {
 }  // namespace
 
 MacroTestbench::MacroTestbench(const MacroDesign& md,
+                               const netlist::ResolvedNetlist& rn, int lanes)
+    : md_(md), sim_(std::make_unique<GateSim>(rn, lanes)) {}
+
+MacroTestbench::MacroTestbench(const MacroDesign& md,
                                const cell::Library& lib, int lanes)
-    : md_(md), flat_(netlist::flatten(md.design, md.top)) {
-  sim_ = std::make_unique<GateSim>(flat_, lib, lanes);
-}
+    : md_(md),
+      own_flat_(std::make_unique<const netlist::FlatNetlist>(
+          netlist::flatten(md.design, md.top))),
+      own_rn_(std::make_unique<const netlist::ResolvedNetlist>(*own_flat_,
+                                                               lib)),
+      sim_(std::make_unique<GateSim>(*own_rn_, lanes)) {}
 
 void MacroTestbench::preload_weights(const DcimMacroModel& model) {
   const auto& cfg = md_.cfg;

@@ -11,8 +11,9 @@
 
 namespace syndcim::sim {
 
-/// Gate-level testbench for a generated macro: owns the flattened netlist
-/// and a GateSim, and drives the cycle protocol documented on MacroDesign.
+/// Gate-level testbench for a generated macro: a GateSim over the macro's
+/// flattened netlist, driving the cycle protocol documented on
+/// MacroDesign.
 /// Used for functional verification against DcimMacroModel and for
 /// activity extraction feeding the power engine.
 ///
@@ -22,10 +23,18 @@ namespace syndcim::sim {
 /// protocol, so one protocol run prices `lanes` MAC workloads.
 class MacroTestbench {
  public:
+  /// Simulates an existing resolution of `md`'s flattened netlist (the
+  /// compiler's `map` stage output); `rn` and its netlist must outlive
+  /// the testbench.
+  MacroTestbench(const rtlgen::MacroDesign& md,
+                 const netlist::ResolvedNetlist& rn, int lanes = 1);
+  /// Flattens and resolves `md` itself.
   MacroTestbench(const rtlgen::MacroDesign& md, const cell::Library& lib,
                  int lanes = 1);
 
-  [[nodiscard]] const netlist::FlatNetlist& netlist() const { return flat_; }
+  [[nodiscard]] const netlist::FlatNetlist& netlist() const {
+    return sim_->resolved().netlist();
+  }
   [[nodiscard]] GateSim& sim() { return *sim_; }
 
   /// Copies the model's weight storage straight into the bitcell states
@@ -66,7 +75,9 @@ class MacroTestbench {
                                                        int lane = 0);
 
   const rtlgen::MacroDesign& md_;
-  netlist::FlatNetlist flat_;
+  // Only set by the (md, lib) constructor, which owns what it resolves.
+  std::unique_ptr<const netlist::FlatNetlist> own_flat_;
+  std::unique_ptr<const netlist::ResolvedNetlist> own_rn_;
   std::unique_ptr<GateSim> sim_;
 };
 

@@ -39,7 +39,7 @@ ScalarGateSim::ScalarGateSim(const FlatNetlist& nl, const cell::Library& lib)
     cells_.push_back(c);
     kinds_.push_back(c->kind);
     std::vector<std::uint32_t> by_pin(c->pins.size(), kNoNet);
-    for (const auto& pc : fg.pins) {
+    for (const auto& pc : nl.gate_pins(g)) {
       const int pi = c->pin_index(pin_names[pc.pin_name]);
       if (pi < 0) {
         throw std::invalid_argument("ScalarGateSim: cell " + c->name +

@@ -7,7 +7,6 @@
 #include <random>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
 
 #include "netlist/levelize.hpp"
 #include "obs/obs.hpp"
@@ -115,97 +114,59 @@ double TimingReport::group_wns(std::string_view g) const {
 }
 
 StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
-    : nl_(nl), lib_(lib) {
-  OBS_SPAN("sta.build");
-  const auto& flat_gates = nl.gates();
-  gates_.reserve(flat_gates.size());
+    : StaEngine(std::make_shared<const netlist::ResolvedNetlist>(nl, lib)) {}
 
-  // Resolve masters once, and every (master, pin name id) pair to its cell
-  // pin index once, so gates index a table instead of matching pin names.
-  const auto& pin_names = nl.pin_names();
-  const std::size_t npin_names = pin_names.size();
-  std::vector<const cell::Cell*> master_cells;
-  std::vector<int> pin_table;  // [master * npin_names + pin name id]
-  master_cells.reserve(nl.master_names().size());
-  pin_table.reserve(nl.master_names().size() * npin_names);
-  for (const std::string& m : nl.master_names()) {
-    const cell::Cell& c = lib.get(m);
-    master_cells.push_back(&c);
-    for (const std::string& pn : pin_names) {
-      pin_table.push_back(c.pin_index(pn));
+StaEngine::StaEngine(std::shared_ptr<const netlist::ResolvedNetlist> owned)
+    : StaEngine(*owned) {
+  owned_ = std::move(owned);
+}
+
+StaEngine::StaEngine(const netlist::ResolvedNetlist& rn)
+    : rn_(rn), nl_(rn.netlist()), lib_(rn.library()) {
+  OBS_SPAN("sta.build");
+  const FlatNetlist& nl = nl_;
+  rn.require_known_cells();
+  for (const netlist::ResolveDefect& d : rn.defects()) {
+    using K = netlist::ResolveDefect::Kind;
+    const cell::Cell& c = *rn.cell(d.gate);
+    switch (d.kind) {
+      case K::kUnknownPin:
+        throw std::invalid_argument("StaEngine: cell " + c.name +
+                                    " has no pin " + nl.pin_names()[d.pin]);
+      case K::kUnconnectedInput:
+        throw std::invalid_argument("StaEngine: unconnected input pin " +
+                                    c.pins[d.pin].name + " on " + c.name);
+      case K::kMultiDriver:
+        throw std::invalid_argument("StaEngine: net has multiple drivers");
+      case K::kDrivesConstant:
+        throw std::invalid_argument("StaEngine: gate drives constant net");
+      case K::kDrivenInput:
+        throw std::invalid_argument("StaEngine: primary input " +
+                                    nl.primary_inputs()[d.pin].name +
+                                    " also driven by a gate");
     }
   }
+  if (rn.unscheduled() != 0) {
+    throw std::invalid_argument(
+        netlist::comb_loop_message("StaEngine", rn.unscheduled()));
+  }
 
+  const std::size_t ngates = nl.gates().size();
   const std::size_t nnets = nl.net_count();
   pin_cap_sum_.assign(nnets, 0.0);
-  fanout_.assign(nnets, 0);
-  driver_gate_.assign(nnets, -1);
-  driver_pin_.assign(nnets, -1);
-
-  for (const auto& fg : flat_gates) {
-    GateInfo gi;
-    gi.cell = master_cells[fg.master];
-    gi.group = fg.group;
-    gi.pin_nets.assign(gi.cell->pins.size(), kNoNet);
-    const int* pin_index = pin_table.data() + fg.master * npin_names;
-    for (const auto& pc : fg.pins) {
-      const int pi = pin_index[pc.pin_name];
-      if (pi < 0) {
-        throw std::invalid_argument("StaEngine: cell " + gi.cell->name +
-                                    " has no pin " + pin_names[pc.pin_name]);
-      }
-      gi.pin_nets[static_cast<std::size_t>(pi)] = pc.net;
-    }
-    const std::uint32_t g = static_cast<std::uint32_t>(gates_.size());
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      const std::uint32_t net = gi.pin_nets[pi];
-      if (net == kNoNet) {
-        if (gi.cell->pins[pi].is_input) {
-          throw std::invalid_argument("StaEngine: unconnected input pin " +
-                                      gi.cell->pins[pi].name + " on " +
-                                      gi.cell->name);
-        }
-        continue;
-      }
-      if (gi.cell->pins[pi].is_input) {
-        pin_cap_sum_[net] += gi.cell->pins[pi].cap_ff;
-        ++fanout_[net];
-      } else {
-        if (driver_gate_[net] >= 0) {
-          throw std::invalid_argument("StaEngine: net has multiple drivers");
-        }
-        if (nl.net_const(net) != NetConst::kNone) {
-          throw std::invalid_argument("StaEngine: gate drives constant net");
-        }
-        driver_gate_[net] = static_cast<std::int32_t>(g);
-        driver_pin_[net] = static_cast<std::int8_t>(pi);
+  fanout_.resize(nnets);
+  for (std::uint32_t n = 0; n < nnets; ++n) {
+    fanout_[n] = static_cast<int>(rn.fanout(n));
+  }
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    const cell::Cell& c = *rn.cell(g);
+    const auto nets = rn.pin_nets(g);
+    for (std::size_t pi = 0; pi < c.pins.size(); ++pi) {
+      if (c.pins[pi].is_input && nets[pi] != kNoNet) {
+        pin_cap_sum_[nets[pi]] += c.pins[pi].cap_ff;
       }
     }
-    gates_.push_back(std::move(gi));
   }
-  for (const auto& io : nl.primary_inputs()) {
-    if (driver_gate_[io.net] >= 0) {
-      throw std::invalid_argument("StaEngine: primary input " + io.name +
-                                  " also driven by a gate");
-    }
-  }
-
-  // Levelize combinational gates with the shared netlist helper (one
-  // levelization scheme and one comb-loop check for STA and both
-  // simulators).
-  std::vector<netlist::LevelizeGate> lv(gates_.size());
-  for (std::uint32_t g = 0; g < gates_.size(); ++g) {
-    const GateInfo& gi = gates_[g];
-    lv[g].combinational =
-        gi.cell->timing_role() == cell::TimingRole::kCombinational;
-    if (!lv[g].combinational) continue;
-    lv[g].in_nets.reserve(gi.cell->pins.size());
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      (gi.cell->pins[pi].is_input ? lv[g].in_nets : lv[g].out_nets)
-          .push_back(gi.pin_nets[pi]);
-    }
-  }
-  gate_order_ = netlist::levelize(nl, lv, "StaEngine");
 
   net_const_.assign(nnets, 0);
   for (std::uint32_t n = 0; n < nnets; ++n) {
@@ -219,32 +180,41 @@ StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
   level_net_begin_.push_back(0);
   std::vector<std::uint8_t> seen(nnets, 0);  // one driver => one level
   // Dedup slew axes into one flat table (the library shares a handful of
-  // characterization grids, so this stays L1-resident in the kernel). Ids
-  // are cached by the axis vector's address; an unseen address falls back
-  // to matching content, since equal axes may live in different LUTs.
-  std::unordered_map<const std::vector<double>*, std::uint16_t> axis_by_addr;
+  // characterization grids, so this stays L1-resident in the kernel).
+  // Equal axes may live in different LUTs, so ids are content ids; each
+  // master's arcs are mapped to their (delay, out-slew) axis ids once.
   std::map<std::vector<double>, std::uint16_t> axis_by_content;
   const auto axis_id = [&](const std::vector<double>& axis) {
-    const auto [at, fresh] = axis_by_addr.try_emplace(&axis, 0);
-    if (!fresh) return at->second;
-    const auto id = static_cast<std::uint16_t>(ax_off_.size());
-    const auto [ct, added] = axis_by_content.try_emplace(axis, id);
+    const auto [it, added] = axis_by_content.try_emplace(
+        axis, static_cast<std::uint16_t>(ax_off_.size()));
     if (added) {
       ax_off_.push_back(static_cast<std::uint32_t>(ax_vals_.size()));
       ax_len_.push_back(static_cast<std::uint32_t>(axis.size()));
       ax_vals_.insert(ax_vals_.end(), axis.begin(), axis.end());
     }
-    at->second = ct->second;
-    return ct->second;
+    return it->second;
   };
-  for (const auto& level : gate_order_) {
-    for (const std::uint32_t g : level) {
-      const GateInfo& gi = gates_[g];
-      for (const auto& arc : gi.cell->arcs) {
+  struct ArcAxes {
+    std::uint16_t delay, slew;
+  };
+  std::vector<std::vector<ArcAxes>> master_axes(nl.master_names().size());
+  for (std::size_t lvl = 0; lvl < rn.level_count(); ++lvl) {
+    for (const std::uint32_t g : rn.level(lvl)) {
+      const cell::Cell& c = *rn.cell(g);
+      const auto nets = rn.pin_nets(g);
+      std::vector<ArcAxes>& axes = master_axes[nl.gates()[g].master];
+      if (axes.size() != c.arcs.size()) {
+        for (const auto& arc : c.arcs) {
+          axes.push_back({axis_id(arc.delay_ps.slew_axis()),
+                          axis_id(arc.out_slew_ps.slew_axis())});
+        }
+      }
+      for (std::size_t a = 0; a < c.arcs.size(); ++a) {
+        const cell::TimingArc& arc = c.arcs[a];
         const std::uint32_t in_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.from_pin)];
+            nets[static_cast<std::size_t>(arc.from_pin)];
         const std::uint32_t out_net =
-            gi.pin_nets[static_cast<std::size_t>(arc.to_pin)];
+            nets[static_cast<std::size_t>(arc.to_pin)];
         if (in_net == kNoNet || out_net == kNoNet) continue;
         // Arcs from constant nets can never fire (the scalar arm skips
         // them on every visit); dropping them here removes the per-arc
@@ -256,8 +226,8 @@ StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
           arc_gate_.push_back(g);
           arc_delay_.push_back(&arc.delay_ps);
           arc_oslew_.push_back(&arc.out_slew_ps);
-          arc_dax_.push_back(axis_id(arc.delay_ps.slew_axis()));
-          arc_sax_.push_back(axis_id(arc.out_slew_ps.slew_axis()));
+          arc_dax_.push_back(axes[a].delay);
+          arc_sax_.push_back(axes[a].slew);
         }
         if (!seen[out_net]) {
           seen[out_net] = 1;
@@ -272,20 +242,22 @@ StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
 
   // Launch points and setup endpoints, resolved once so per-analysis work
   // never touches pin names or roles.
-  for (std::uint32_t g = 0; g < gates_.size(); ++g) {
-    const GateInfo& gi = gates_[g];
-    const cell::TimingRole role = gi.cell->timing_role();
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    const cell::Cell& c = *rn.cell(g);
+    const cell::TimingRole role = c.timing_role();
     if (role == cell::TimingRole::kCombinational) continue;
     const bool storage = role == cell::TimingRole::kStorage;
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      const cell::Pin& p = gi.cell->pins[pi];
-      const std::uint32_t net = gi.pin_nets[pi];
+    const auto nets = rn.pin_nets(g);
+    for (std::size_t pi = 0; pi < c.pins.size(); ++pi) {
+      const cell::Pin& p = c.pins[pi];
+      const std::uint32_t net = nets[pi];
       if (net == kNoNet) continue;
       if (!p.is_input) {
         launches_.push_back({g, net, static_cast<std::uint16_t>(pi), storage});
       } else if (!p.is_clock && !net_const_[net]) {
-        setup_eps_.push_back({net, g, gi.group, static_cast<std::uint16_t>(pi),
-                              storage, gi.cell->setup_ps});
+        setup_eps_.push_back({net, g, nl.gates()[g].group,
+                              static_cast<std::uint16_t>(pi), storage,
+                              c.setup_ps});
       }
     }
   }
@@ -295,18 +267,21 @@ StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
   const std::size_t ngroups = nl.group_names().size();
   std::vector<std::uint32_t> dgroup(nnets, kNoNet);
   for (std::uint32_t n = 0; n < nnets; ++n) {
-    if (driver_gate_[n] >= 0) {
-      dgroup[n] = gates_[static_cast<std::size_t>(driver_gate_[n])].group;
+    if (rn.driver(n) >= 0) {
+      dgroup[n] = nl.gates()[static_cast<std::size_t>(rn.driver(n))].group;
     }
   }
   // A net leaves its driver's group if any other group consumes it or it
   // is a primary output.
   std::vector<std::uint8_t> crosses(nnets, 0);
-  for (const GateInfo& gi : gates_) {
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      if (!gi.cell->pins[pi].is_input) continue;
-      const std::uint32_t n = gi.pin_nets[pi];
-      if (n != kNoNet && dgroup[n] != gi.group) crosses[n] = 1;
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    const cell::Cell& c = *rn.cell(g);
+    const std::uint32_t group = nl.gates()[g].group;
+    const auto nets = rn.pin_nets(g);
+    for (std::size_t pi = 0; pi < c.pins.size(); ++pi) {
+      if (!c.pins[pi].is_input) continue;
+      const std::uint32_t n = nets[pi];
+      if (n != kNoNet && dgroup[n] != group) crosses[n] = 1;
     }
   }
   for (const auto& io : nl.primary_outputs()) crosses[io.net] = 1;
@@ -316,21 +291,37 @@ StaEngine::StaEngine(const FlatNetlist& nl, const cell::Library& lib)
   // First-use dedup: a net is listed once per group per direction.
   std::vector<std::uint32_t> in_stamp(nnets, kNoNet);
   std::vector<std::uint32_t> out_stamp(nnets, kNoNet);
-  for (const GateInfo& gi : gates_) {
-    for (std::size_t pi = 0; pi < gi.cell->pins.size(); ++pi) {
-      const std::uint32_t n = gi.pin_nets[pi];
+  for (std::uint32_t g = 0; g < ngates; ++g) {
+    const cell::Cell& c = *rn.cell(g);
+    const std::uint32_t group = nl.gates()[g].group;
+    const auto nets = rn.pin_nets(g);
+    for (std::size_t pi = 0; pi < c.pins.size(); ++pi) {
+      const std::uint32_t n = nets[pi];
       if (n == kNoNet || net_const_[n]) continue;
-      if (gi.cell->pins[pi].is_input) {
-        if (dgroup[n] == gi.group || in_stamp[n] == gi.group) continue;
-        in_stamp[n] = gi.group;
-        iface_in_[gi.group].push_back(n);
+      if (c.pins[pi].is_input) {
+        if (dgroup[n] == group || in_stamp[n] == group) continue;
+        in_stamp[n] = group;
+        iface_in_[group].push_back(n);
       } else {
-        if (!crosses[n] || out_stamp[n] == gi.group) continue;
-        out_stamp[n] = gi.group;
-        iface_out_[gi.group].push_back(n);
+        if (!crosses[n] || out_stamp[n] == group) continue;
+        out_stamp[n] = group;
+        iface_out_[group].push_back(n);
       }
     }
   }
+}
+
+const std::vector<StaEngine::GateInfo>& StaEngine::scalar_gates() const {
+  std::call_once(scalar_once_, [&] {
+    scalar_gates_.reserve(nl_.gates().size());
+    for (std::uint32_t g = 0; g < nl_.gates().size(); ++g) {
+      const auto nets = rn_.pin_nets(g);
+      scalar_gates_.push_back(
+          {rn_.cell(g), std::vector<std::uint32_t>(nets.begin(), nets.end()),
+           nl_.gates()[g].group});
+    }
+  });
+  return scalar_gates_;
 }
 
 double StaEngine::net_load_ff(std::uint32_t net, const WireModel& wire) const {
@@ -386,10 +377,9 @@ std::shared_ptr<const StaEngine::LoadPlan> StaEngine::load_plan(
       p->launch_slew[i] = kStorageQSlewPs;
       continue;
     }
-    const GateInfo& gi = gates_[lp.gate];
     const double load = p->net_load[lp.qnet];
     double d = 0.0, s = kClockSlewPs;
-    for (const auto& arc : gi.cell->arcs) {
+    for (const auto& arc : rn_.cell(lp.gate)->arcs) {
       if (arc.to_pin != lp.pin) continue;
       d = std::max(d, arc.delay_ps.eval(kClockSlewPs, load));
       s = std::max(s, arc.out_slew_ps.eval(kClockSlewPs, load));
@@ -445,7 +435,7 @@ VariationReport StaEngine::analyze_variation(const StaOptions& opt,
   std::normal_distribution<double> n01;
   VariationReport rep;
   rep.fmax_samples_mhz.reserve(static_cast<std::size_t>(samples));
-  std::vector<float> derate(gates_.size());
+  std::vector<float> derate(nl_.gates().size());
   for (int s = 0; s < samples; ++s) {
     // Global corner shift shared by the die, plus independent local
     // variation per gate (lognormal keeps derates positive).
@@ -470,9 +460,10 @@ VariationReport StaEngine::analyze_variation(const StaOptions& opt,
 void StaEngine::propagate_scalar(const StaOptions& opt,
                                  const float* gate_derate,
                                  PropState& ps) const {
-  for (const auto& level : gate_order_) {
-    for (const std::uint32_t g : level) {
-      const GateInfo& gi = gates_[g];
+  const std::vector<GateInfo>& gates = scalar_gates();
+  for (std::size_t lvl = 0; lvl < rn_.level_count(); ++lvl) {
+    for (const std::uint32_t g : rn_.level(lvl)) {
+      const GateInfo& gi = gates[g];
       for (const auto& arc : gi.cell->arcs) {
         const std::uint32_t in_net =
             gi.pin_nets[static_cast<std::size_t>(arc.from_pin)];
@@ -626,7 +617,7 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
   ps.slew_set.assign(nnets, 0);
 
   for (std::uint32_t n = 0; n < nnets; ++n) {
-    if (driver_gate_[n] < 0 || net_const_[n]) {
+    if (rn_.driver(n) < 0 || net_const_[n]) {
       ps.ts[n].at = 0.0;  // dangling or constant
     }
   }
@@ -745,12 +736,12 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
       gif.inputs.reserve(iface_in_[i].size());
       for (const std::uint32_t n : iface_in_[i]) {
         gif.inputs.push_back(
-            {nl_.net_name(n), ps.ts[n].at * ds, ps.ts[n].slew * ds});
+            {std::string(nl_.net_name(n)), ps.ts[n].at * ds, ps.ts[n].slew * ds});
       }
       gif.outputs.reserve(iface_out_[i].size());
       for (const std::uint32_t n : iface_out_[i]) {
         gif.outputs.push_back(
-            {nl_.net_name(n), ps.ts[n].at * ds, ps.ts[n].slew * ds});
+            {std::string(nl_.net_name(n)), ps.ts[n].at * ds, ps.ts[n].slew * ds});
       }
     }
   }
@@ -765,9 +756,8 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
     rep.critical.arrival_ps = worst_arrival * ds;
     rep.critical.required_ps = worst_required * ds;
     if (worst_sep != nullptr) {
-      const GateInfo& gi = gates_[worst_sep->gate];
-      rep.critical.endpoint =
-          gi.cell->name + "/" + gi.cell->pins[worst_sep->pin].name;
+      const cell::Cell& c = *rn_.cell(worst_sep->gate);
+      rep.critical.endpoint = c.name + "/" + c.pins[worst_sep->pin].name;
     } else {
       rep.critical.endpoint = "<out>/" + worst_po->name;
     }
@@ -778,10 +768,9 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
       PathStage st;
       st.arrival_ps = ps.ts[n].at * ds;
       if (ps.tr[n].via_gate >= 0) {
-        const GateInfo& gi =
-            gates_[static_cast<std::size_t>(ps.tr[n].via_gate)];
-        st.master = gi.cell->name;
-        st.group = nl_.group_names()[gi.group];
+        const auto g = static_cast<std::uint32_t>(ps.tr[n].via_gate);
+        st.master = rn_.cell(g)->name;
+        st.group = nl_.group_names()[nl_.gates()[g].group];
       } else {
         st.master = "<source>";
         st.group = "";

@@ -9,6 +9,7 @@
 #include "cell/library.hpp"
 #include "core/diag.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 
 namespace syndcim::sta {
 
@@ -163,6 +164,13 @@ struct VariationReport {
 ///    untimed; untimed nets are excluded from the endpoint set.
 class StaEngine {
  public:
+  /// Builds over a shared resolution, which must outlive the engine.
+  /// Throws std::invalid_argument for the resolve defects timing cannot
+  /// run on (unknown cell or pin, unconnected input, a net with two
+  /// drivers, a gate driving a constant or a primary input, a
+  /// combinational loop).
+  explicit StaEngine(const netlist::ResolvedNetlist& rn);
+  /// Resolves `nl` against `lib` privately (same checks).
   StaEngine(const netlist::FlatNetlist& nl, const cell::Library& lib);
 
   [[nodiscard]] TimingReport analyze(const StaOptions& opt) const;
@@ -223,16 +231,22 @@ class StaEngine {
       const WireModel& wire) const;
   [[nodiscard]] TimingReport analyze_impl(const StaOptions& opt,
                                           const float* gate_derate) const;
+  explicit StaEngine(std::shared_ptr<const netlist::ResolvedNetlist> owned);
   void propagate_scalar(const StaOptions& opt, const float* gate_derate,
                         PropState& ps) const;
   void propagate_soa(const LoadPlan& plan, const StaOptions& opt,
                      const float* gate_derate, PropState& ps) const;
 
+  /// The scalar control arm's own per-gate view, built on its first use
+  /// so SoA-only engines never pay for it. Its layout (group included) is
+  /// the one the arm always walked, so the bench/perf_sta kernel gate
+  /// still compares against the same control arm.
   struct GateInfo {
     const cell::Cell* cell;
     std::vector<std::uint32_t> pin_nets;  // by cell pin index
     std::uint32_t group;
   };
+  [[nodiscard]] const std::vector<GateInfo>& scalar_gates() const;
   /// One sequential output pin: registers launch clk->q from the plan,
   /// storage launches at t=0.
   struct LaunchPoint {
@@ -253,14 +267,13 @@ class StaEngine {
     double setup_ps;
   };
 
+  std::shared_ptr<const netlist::ResolvedNetlist> owned_;  // (nl, lib) ctor
+  const netlist::ResolvedNetlist& rn_;
   const netlist::FlatNetlist& nl_;
   const cell::Library& lib_;
-  std::vector<GateInfo> gates_;
   std::vector<double> pin_cap_sum_;  // per net
-  std::vector<int> fanout_;          // per net (input pin count)
-  std::vector<std::int32_t> driver_gate_;  // per net; -1 = none/PI
-  std::vector<std::int8_t> driver_pin_;    // cell pin index of driver
-  std::vector<std::vector<std::uint32_t>> gate_order_;  // levels
+  std::vector<int> fanout_;          // per net; rn_.fanout, kept local for
+                                     // the scalar arm's per-arc loads
 
   // SoA arc CSR over the levelized combinational gates, flattened in the
   // exact (level, gate, arc) visit order of the scalar arm so both
@@ -292,6 +305,8 @@ class StaEngine {
 
   mutable std::mutex plan_mu_;
   mutable std::shared_ptr<const LoadPlan> plan_;
+  mutable std::once_flag scalar_once_;
+  mutable std::vector<GateInfo> scalar_gates_;
 };
 
 }  // namespace syndcim::sta

@@ -176,6 +176,13 @@ TEST(Searcher, InfeasibleSpecReportsEmptyPareto) {
   EXPECT_THROW((void)res.best(spec.pref), std::logic_error);
 }
 
+TEST(Compiler, InfeasibleSpecThrowsTypedError) {
+  core::SynDcimCompiler compiler(lib());
+  PerfSpec spec = small_spec();
+  spec.mac_freq_mhz = 20000.0;  // 20 GHz: no design point qualifies
+  EXPECT_THROW((void)compiler.compile(spec), core::InfeasibleSpec);
+}
+
 TEST(Searcher, PreferenceShiftsSelection) {
   core::SubcircuitLibrary scl(lib());
   core::MsoSearcher searcher(scl);

@@ -86,6 +86,14 @@ void expect_ports_found(const Module& m) {
       }
     }
     EXPECT_EQ(&m.port(want.name), &m.ports()[first]) << want.name;
+    // The position hint never changes the answer: a hit on a repeated
+    // name, a miss and an out-of-range hint all find the first port.
+    EXPECT_EQ(&m.port(want.name, i), &m.ports()[first]) << want.name;
+    EXPECT_EQ(&m.port(want.name, (i + 1) % m.ports().size()),
+              &m.ports()[first])
+        << want.name;
+    EXPECT_EQ(&m.port(want.name, m.ports().size()), &m.ports()[first])
+        << want.name;
   }
 }
 
@@ -120,6 +128,7 @@ TEST(ModulePortIndex, MissingNameThrowsOutOfRange) {
   const Module m = make_many_port_module();
   for (const char* name : {"", "d", "d[12]", "clk ", "q[", "zz", "A"}) {
     EXPECT_FALSE(m.has_port(name)) << name;
+    EXPECT_FALSE(m.has_port(name, 0)) << name;
     EXPECT_THROW((void)m.port(name), std::out_of_range) << name;
   }
 }
@@ -262,8 +271,8 @@ TEST(Flatten, SharedConstantsAcrossHierarchy) {
   }
   EXPECT_EQ(const0_count, 1u);
   std::size_t users = 0;
-  for (const auto& g : f.gates()) {
-    for (const auto& pc : g.pins) {
+  for (std::uint32_t g = 0; g < f.gates().size(); ++g) {
+    for (const auto& pc : f.gate_pins(g)) {
       if (pc.net == const0_net) ++users;
     }
   }
@@ -346,8 +355,8 @@ TEST(Flatten, NestedInstancesResolveThroughPortMaps) {
   // x, y, w and one "link" per mid instance; leaf ports add no nets.
   EXPECT_EQ(f.net_count(), 5u);
 
-  auto pin_net = [&](const FlatNetlist::Gate& g, const std::string& pin) {
-    for (const auto& pc : g.pins) {
+  auto pin_net = [&](std::uint32_t g, const std::string& pin) {
+    for (const auto& pc : f.gate_pins(g)) {
       if (f.pin_names()[pc.pin_name] == pin) return pc.net;
     }
     ADD_FAILURE() << "gate has no pin " << pin;
@@ -355,17 +364,16 @@ TEST(Flatten, NestedInstancesResolveThroughPortMaps) {
   };
   // The gates form one chain x -> inv -> inv -> inv -> inv -> y.
   std::uint32_t prev = f.input_net("x");
-  for (std::size_t i = 0; i < f.gates().size(); ++i) {
-    const FlatNetlist::Gate& g = f.gates()[i];
-    EXPECT_EQ(pin_net(g, "A"), prev) << "gate " << i;
-    EXPECT_EQ(g.group, i < 2 ? 1u : 2u) << "gate " << i;
-    prev = pin_net(g, "Y");
+  for (std::uint32_t i = 0; i < f.gates().size(); ++i) {
+    EXPECT_EQ(pin_net(i, "A"), prev) << "gate " << i;
+    EXPECT_EQ(f.gates()[i].group, i < 2 ? 1u : 2u) << "gate " << i;
+    prev = pin_net(i, "Y");
   }
   EXPECT_EQ(prev, f.output_net("y"));
   // Internal nets below the top are named after their depth-1 group.
-  EXPECT_EQ(f.net_name(pin_net(f.gates()[0], "Y")), "m0.link");
-  EXPECT_EQ(f.net_name(pin_net(f.gates()[2], "Y")), "m1.link");
-  EXPECT_EQ(f.net_name(pin_net(f.gates()[1], "Y")), "w");
+  EXPECT_EQ(f.net_name(pin_net(0, "Y")), "m0.link");
+  EXPECT_EQ(f.net_name(pin_net(2, "Y")), "m1.link");
+  EXPECT_EQ(f.net_name(pin_net(1, "Y")), "w");
 }
 
 TEST(Flatten, RepeatedAndSubtreeCallsAreIndependent) {

@@ -57,7 +57,7 @@ power::ActivityModel run_workload(sim::MacroTestbench& tb,
     }
     (void)tb.run_mac_int(in, 4, 4, 0);
   }
-  return power::activity_from_sim(tb.netlist(), lib(), tb.sim());
+  return power::activity_from_sim(tb.sim());
 }
 
 TEST(Power, SimActivityBasics) {

@@ -150,13 +150,13 @@ TEST(GateSim, ActivityFromSimMatchesToggleCounts) {
     gs.set_input("a", t % 2);
     gs.step();
   }
-  const auto act = power::activity_from_sim(flat, lib(), gs);
+  const auto act = power::activity_from_sim(gs);
   EXPECT_NEAR(act.toggle_rate[flat.input_net("a")], 1.0, 0.13);
   // Clock net forced to 2 transitions/cycle.
   EXPECT_DOUBLE_EQ(act.toggle_rate[flat.input_net("clk")], 2.0);
   // Unsimulated run is rejected.
   sim::GateSim gs2(flat, lib());
-  EXPECT_THROW((void)power::activity_from_sim(flat, lib(), gs2),
+  EXPECT_THROW((void)power::activity_from_sim(gs2),
                std::invalid_argument);
 }
 

@@ -239,7 +239,7 @@ const cell::Library& fix_lib() {
 std::uint32_t find_net(const netlist::FlatNetlist& flat,
                        std::string_view name) {
   for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
-    const std::string& nn = flat.net_name(n);
+    const std::string_view nn = flat.net_name(n);
     if (nn == name) return n;
     if (nn.size() > name.size() + 1 &&
         nn.compare(nn.size() - name.size(), name.size(), name) == 0) {

@@ -856,6 +856,9 @@ int run_compile_command(const Args& args) {
     std::cerr << "compile interrupted (" << e.what() << ")\n";
     const int sig = serve::shutdown_signal();
     return sig != 0 ? 128 + sig : 2;
+  } catch (const core::InfeasibleSpec& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

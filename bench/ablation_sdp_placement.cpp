@@ -41,7 +41,7 @@ int main() {
 
   sta::StaEngine sta(flat, lib);
   const auto act =
-      power::propagate_activity(flat, lib, power::ActivitySpec{});
+      power::propagate_activity_grouped(flat, lib, power::ActivitySpec{});
 
   core::TextTable t({"placement", "outline_mm2", "util", "wirelength_mm",
                      "routed_mm", "cong_avg", "cong_max", "fmax_MHz",

@@ -105,7 +105,7 @@ BENCHMARK(BM_SdpPlace)->Unit(benchmark::kMillisecond);
 void BM_ActivityPropagation(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        power::propagate_activity(bench_flat(), lib(), {}));
+        power::propagate_activity_grouped(bench_flat(), lib(), {}));
   }
 }
 BENCHMARK(BM_ActivityPropagation)->Unit(benchmark::kMillisecond);

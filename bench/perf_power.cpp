@@ -3,10 +3,12 @@
 // retained per-gate scalar arm, single-threaded, on a generated DCIM
 // macro (32x32, mcr 2, 4/8b precisions — ~12.8k gates).
 //
-// Both arms run the same 8-pass Gauss-Seidel fixpoint and must produce
-// bit-identical ActivityModels; the bench cross-checks every net's
-// p_one/toggle_rate before timing and exits nonzero on any mismatch.
-// Throughput is full propagate_activity() calls per wall second.
+// Both arms run the search-time estimator (the per-group 8-pass
+// Gauss-Seidel fixpoint, no artifact cache) over one shared resolution
+// and must produce bit-identical ActivityModels; the bench cross-checks
+// every net's p_one/toggle_rate before timing and exits nonzero on any
+// mismatch. Throughput is full propagate_activity_grouped() calls per
+// wall second.
 // `--json FILE` dumps the numbers and `--metrics FILE` writes the obs
 // metrics registry. Exits nonzero if the SoA kernel is not at least 4x
 // the scalar throughput.
@@ -20,6 +22,7 @@
 
 #include "cell/characterize.hpp"
 #include "netlist/flatten.hpp"
+#include "netlist/resolved.hpp"
 #include "obs/obs.hpp"
 #include "power/activity.hpp"
 #include "rtlgen/macro.hpp"
@@ -78,19 +81,20 @@ int main(int argc, char** argv) {
       cell::characterize_default_library(tech::make_default_40nm());
   const auto md = rtlgen::gen_macro(bench_cfg());
   const auto flat = netlist::flatten(md.design, md.top);
-  std::printf("macro netlist: %zu gates, %u nets\n", flat.gates().size(),
+  std::printf("macro netlist: %zu gates, %zu nets\n", flat.gates().size(),
               flat.net_count());
 
+  const netlist::ResolvedNetlist rn(flat, lib);
   power::ActivitySpec spec;
   spec.input_p1 = 0.37;
   spec.input_toggle = 0.21;
 
   // --- equivalence self-check (untimed) --------------------------------
   {
-    const auto soa = power::propagate_activity(
-        flat, lib, spec, power::ActivityEngine::kSoa);
-    const auto scalar = power::propagate_activity(
-        flat, lib, spec, power::ActivityEngine::kScalar);
+    const auto soa = power::propagate_activity_grouped(
+        rn, spec, nullptr, power::ActivityEngine::kSoa);
+    const auto scalar = power::propagate_activity_grouped(
+        rn, spec, nullptr, power::ActivityEngine::kScalar);
     for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
       if (soa.p_one[n] != scalar.p_one[n] ||
           soa.toggle_rate[n] != scalar.toggle_rate[n]) {
@@ -99,7 +103,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("equivalence self-check passed (%u nets)\n",
+    std::printf("equivalence self-check passed (%zu nets)\n",
                 flat.net_count());
   }
 
@@ -108,7 +112,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     double sink = 0.0;
     for (int i = 0; i < iters; ++i) {
-      const auto am = power::propagate_activity(flat, lib, spec, e);
+      const auto am = power::propagate_activity_grouped(rn, spec, nullptr, e);
       sink += am.toggle_rate.empty() ? 0.0 : am.toggle_rate.back();
     }
     const double wall = seconds_since(t0);

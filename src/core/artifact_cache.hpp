@@ -196,10 +196,6 @@ class ArtifactCache {
     l2_encode_ = nullptr;
     l2_decode_ = nullptr;
   }
-  [[nodiscard]] bool has_l2() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return l2_ != nullptr;
-  }
 
   /// Write-back flush: encodes every dirty entry into L2 and marks it
   /// clean. Returns the number of entries written. Encoding runs off-lock

@@ -196,7 +196,7 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
   // timing knobs — the only spec fields this stage reads.
   const std::string skey = spec_knobs_key(spec);
   const auto timing =
-      pipe.run("sta", &as.timings, "sta2|" + lkey + "|" + skey, [&] {
+      pipe.run("sta", &as.timings, "sta3|" + lkey + "|" + skey, [&] {
         TimingArtifact ta;
         DiagEngine dg;
         sta::StaEngine sta(rn());
@@ -206,7 +206,6 @@ Implementation SynDcimCompiler::implement(const rtlgen::MacroConfig& cfg,
         topt.vdd = spec.vdd;
         topt.wire = route->wire;
         topt.static_inputs = impl.macro.static_control_ports();
-        topt.collect_group_interfaces = true;
         topt.diag = &dg;
         ta.timing = sta.analyze(topt);
         ta.diags = dg.diags();

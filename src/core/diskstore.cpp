@@ -1,8 +1,10 @@
 #include "core/diskstore.hpp"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -41,6 +43,17 @@ std::string read_file(const std::string& path, bool& found) {
   return data;
 }
 
+/// True when `name` is a `<pid>-<seq>` tmp file of a process that no
+/// longer exists. A live writer (this process included) keeps its file: it
+/// is about to publish it with rename().
+bool dead_writer_tmp(const std::string& name) {
+  pid_t pid = 0;
+  const auto [end, err] =
+      std::from_chars(name.data(), name.data() + name.size(), pid);
+  if (err != std::errc() || *end != '-' || pid <= 0) return false;
+  return ::kill(pid, 0) != 0 && errno == ESRCH;
+}
+
 }  // namespace
 
 DiskBlobStore::DiskBlobStore(std::string root) : root_(std::move(root)) {
@@ -53,12 +66,12 @@ DiskBlobStore::DiskBlobStore(std::string root) : root_(std::move(root)) {
          "cannot create artifact store directories: " + ec.message(), root_);
     return;
   }
-  // Sweep tmp files left by a crashed writer. Live writers in *other*
-  // processes embed their pid in the name and publish via rename before
-  // anyone could observe the object, so an unlinked-from-under-them tmp
-  // file only costs that writer one put.
+  // Sweep tmp files left by crashed writers. Every writer embeds its pid
+  // in the name, so only files of processes that are gone are removed.
   for (const auto& entry : fs::directory_iterator(fs::path(root_) / "tmp", ec)) {
-    fs::remove(entry.path(), ec);
+    if (dead_writer_tmp(entry.path().filename().string())) {
+      fs::remove(entry.path(), ec);
+    }
   }
 }
 

@@ -94,7 +94,7 @@ SliceEval SubcircuitLibrary::slice(const MacroConfig& cfg) {
   rtlgen::MacroDesign ports;
   ports.cfg = sc;
 
-  const auto timing = pipe.run("sta", &as.timings, "slsta2|" + lkey, [&] {
+  const auto timing = pipe.run("sta", &as.timings, "slsta3|" + lkey, [&] {
     sta::StaEngine sta(rn());
     sta::StaOptions topt;
     topt.clock_period_ps = kRefPeriodPs;

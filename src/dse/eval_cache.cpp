@@ -242,11 +242,4 @@ EvalCacheStats EvalCache::stats() const {
   return s;
 }
 
-void EvalCache::reset_counters() {
-  hits_.store(0);
-  misses_.store(0);
-  inflight_waits_.store(0);
-  miss_eval_ns_.store(0);
-}
-
 }  // namespace syndcim::dse

@@ -96,7 +96,6 @@ class EvalCache {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] EvalCacheStats stats() const;
-  void reset_counters();
 
  private:
   static constexpr std::size_t kShards = 16;

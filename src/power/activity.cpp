@@ -48,12 +48,12 @@ void force_clock_nets(const ResolvedGates& rg, ActivityModel& am) {
 /// verified against): same gate classification, same visit order, same
 /// arithmetic, evaluated through cell::eval_kind per input combo.
 void fixpoint_scalar(const std::vector<ResolvedGate>& gates,
-                     const std::uint32_t* ids, std::size_t n,
+                     const std::vector<std::uint32_t>& members,
                      const ActivitySpec& spec, ActivityModel& am) {
   for (int pass = 0; pass < 8; ++pass) {
     // Sequential outputs first.
-    for (std::size_t k = 0; k < n; ++k) {
-      const ResolvedGate& g = gates[ids[k]];
+    for (const std::uint32_t gi : members) {
+      const ResolvedGate& g = gates[gi];
       const cell::TimingRole role = g.cell->timing_role();
       if (role == cell::TimingRole::kCombinational) continue;
       const std::uint32_t q = g.q_net;
@@ -69,8 +69,8 @@ void fixpoint_scalar(const std::vector<ResolvedGate>& gates,
       am.toggle_rate[q] = 2.0 * pd * (1.0 - pd) * kToggleDamp;
     }
     // Combinational gates: exact P1 under independence.
-    for (std::size_t k = 0; k < n; ++k) {
-      const ResolvedGate& g = gates[ids[k]];
+    for (const std::uint32_t gi : members) {
+      const ResolvedGate& g = gates[gi];
       if (g.cell->timing_role() != cell::TimingRole::kCombinational) {
         continue;
       }
@@ -106,12 +106,6 @@ void fixpoint_scalar(const std::vector<ResolvedGate>& gates,
     }
   }
 }
-
-std::vector<std::uint32_t> iota_ids(std::size_t n) {
-  std::vector<std::uint32_t> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::uint32_t>(i);
-  return ids;
-}
 }  // namespace
 
 ActivityModel activity_from_sim(const sim::GateSim& gs) {
@@ -140,39 +134,18 @@ ActivityModel activity_from_sim(const sim::GateSim& gs) {
   return am;
 }
 
-ActivityModel propagate_activity(const FlatNetlist& nl,
-                                 const cell::Library& lib,
-                                 const ActivitySpec& spec,
-                                 ActivityEngine engine) {
-  const ResolvedGates rg = resolve_gates(nl, lib);
-  ActivityModel am = base_model(nl, spec);
-
-  // Iterate to a fixpoint so register feedback (accumulators) settles.
-  if (engine == ActivityEngine::kSoa) {
-    const ActivityKernel kernel(rg);
-    kernel.run(spec, am);
-  } else {
-    const auto ids = iota_ids(rg.gates.size());
-    fixpoint_scalar(rg.gates, ids.data(), ids.size(), spec, am);
-  }
-  force_clock_nets(rg, am);
-  return am;
-}
-
 ActivityModel propagate_activity_grouped(const netlist::FlatNetlist& nl,
                                          const cell::Library& lib,
                                          const ActivitySpec& spec,
                                          ActivityCache* cache,
-                                         GroupedActivityStats* stats,
                                          ActivityEngine engine) {
   return propagate_activity_grouped(netlist::ResolvedNetlist(nl, lib), spec,
-                                    cache, stats, engine);
+                                    cache, engine);
 }
 
 ActivityModel propagate_activity_grouped(const netlist::ResolvedNetlist& rn,
                                          const ActivitySpec& spec,
                                          ActivityCache* cache,
-                                         GroupedActivityStats* stats,
                                          ActivityEngine engine) {
   OBS_SPAN("power.activity");
   const FlatNetlist& nl = rn.netlist();
@@ -195,12 +168,21 @@ ActivityModel propagate_activity_grouped(const netlist::ResolvedNetlist& rn,
     cones[static_cast<std::size_t>(slot)].push_back(gi);
   }
 
-  // One kernel over the whole netlist, shared by every cone; cache misses
-  // run the fixpoint restricted to the cone's members.
+  // One kernel over the whole netlist, shared by every cone; each cone
+  // (without a cache, or on a cache miss) runs the fixpoint restricted to
+  // its members.
   std::unique_ptr<const ActivityKernel> kernel;
   if (engine == ActivityEngine::kSoa) {
     kernel = std::make_unique<const ActivityKernel>(rg);
   }
+  const auto run_cone = [&](const std::vector<std::uint32_t>& members) {
+    if (kernel) {
+      kernel->run_members(members, spec, am);
+    } else {
+      fixpoint_scalar(gates, members, spec, am);
+    }
+  };
+  if (cache != nullptr && !cache->enabled()) cache = nullptr;
 
   const std::string& libfp = lib.fingerprint();
   std::vector<std::uint32_t> local_of(nl.net_count(), UINT32_MAX);
@@ -208,8 +190,10 @@ ActivityModel propagate_activity_grouped(const netlist::ResolvedNetlist& rn,
   std::vector<std::uint32_t> driven_list;
 
   for (const auto& members : cones) {
-    if (stats) ++stats->groups;
-
+    if (cache == nullptr) {
+      run_cone(members);
+      continue;
+    }
     // Local numbering of every net the cone references (first-use order)
     // plus the cone's driven-net list (first-driver order) — both pure
     // functions of the cone's structure.
@@ -259,33 +243,24 @@ ActivityModel propagate_activity_grouped(const netlist::ResolvedNetlist& rn,
     for (const std::uint32_t net : touched) h.dbl(am.p_one[net]);
     const std::string key = h.hex();
 
-    std::shared_ptr<const GroupActivityArtifact> art;
-    if (cache) art = cache->find(key);
+    const std::shared_ptr<const GroupActivityArtifact> art = cache->find(key);
     if (art && art->driven.size() == driven_list.size()) {
       for (std::size_t j = 0; j < driven_list.size(); ++j) {
         am.p_one[driven_list[j]] = art->driven[j].first;
         am.toggle_rate[driven_list[j]] = art->driven[j].second;
       }
-      if (stats) ++stats->group_hits;
     } else {
-      if (kernel) {
-        kernel->run_members(members, spec, am);
-      } else {
-        fixpoint_scalar(gates, members.data(), members.size(), spec, am);
+      run_cone(members);
+      GroupActivityArtifact out;
+      out.driven.reserve(driven_list.size());
+      for (const std::uint32_t net : driven_list) {
+        out.driven.emplace_back(am.p_one[net], am.toggle_rate[net]);
       }
-      if (cache) {
-        GroupActivityArtifact out;
-        out.driven.reserve(driven_list.size());
-        for (const std::uint32_t net : driven_list) {
-          out.driven.emplace_back(am.p_one[net], am.toggle_rate[net]);
-        }
-        cache->put(key, std::move(out));
-      }
+      cache->put(key, std::move(out));
     }
     for (const std::uint32_t net : touched) local_of[net] = UINT32_MAX;
   }
 
-  // Clock nets toggle twice per cycle (identical to propagate_activity).
   force_clock_nets(rg, am);
   return am;
 }

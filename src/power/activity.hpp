@@ -1,5 +1,4 @@
 #pragma once
-#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -48,14 +47,6 @@ enum class ActivityEngine : std::uint8_t {
   kScalar,  ///< retained per-gate eval_kind reference
 };
 
-/// Zero-delay probabilistic activity propagation assuming spatial input
-/// independence: P1 is propagated exactly per gate function under the
-/// independence assumption and the toggle rate is damped through deep
-/// logic. Used at search time, when no netlist-level simulation has run.
-[[nodiscard]] ActivityModel propagate_activity(
-    const netlist::FlatNetlist& nl, const cell::Library& lib,
-    const ActivitySpec& spec, ActivityEngine engine = ActivityEngine::kSoa);
-
 /// One group's propagation result: final (p_one, toggle_rate) of every net
 /// the group drives, in the group's first-driver order. A pure function of
 /// the group's structure and its observed input probabilities — which is
@@ -67,29 +58,28 @@ struct GroupActivityArtifact {
 /// Shared activity tier of the subcircuit-artifact cache.
 using ActivityCache = core::ArtifactCache<GroupActivityArtifact>;
 
-struct GroupedActivityStats {
-  std::size_t groups = 0;       ///< cone evaluations requested
-  std::size_t group_hits = 0;   ///< cones spliced from cached artifacts
-};
-
-/// Incremental variant of propagate_activity used by the subcircuit
-/// library: gates are processed one depth-1 group at a time in
-/// first-occurrence order (topological for generated macros — drivers
-/// before columns before OFUs), each group iterated to its own fixpoint
-/// against already-settled upstream values. Every group cone is
+/// Zero-delay probabilistic activity propagation assuming spatial input
+/// independence: P1 is propagated exactly per gate function under the
+/// independence assumption and the toggle rate is damped through deep
+/// logic. Used at search time, when no netlist-level simulation has run.
+///
+/// Gates are processed one depth-1 group at a time in first-occurrence
+/// order (topological for generated macros — drivers before columns
+/// before OFUs), each group iterated to its own fixpoint against
+/// already-settled upstream values. With a cache, every group cone is
 /// content-addressed by (library fingerprint, group structure, observed
-/// boundary probabilities, workload spec), so unchanged cones splice their
-/// cached activity instead of re-running the fixpoint — across
+/// boundary probabilities, workload spec), so unchanged cones splice
+/// their cached activity instead of re-running the fixpoint — across
 /// configurations, specs and sweep workers. Cold (cache == nullptr or
-/// disabled) and warm runs produce byte-identical models by construction.
+/// disabled: no key is built) and warm runs produce byte-identical models
+/// by construction.
 [[nodiscard]] ActivityModel propagate_activity_grouped(
     const netlist::ResolvedNetlist& rn, const ActivitySpec& spec,
-    ActivityCache* cache = nullptr, GroupedActivityStats* stats = nullptr,
+    ActivityCache* cache = nullptr,
     ActivityEngine engine = ActivityEngine::kSoa);
 [[nodiscard]] ActivityModel propagate_activity_grouped(
     const netlist::FlatNetlist& nl, const cell::Library& lib,
     const ActivitySpec& spec, ActivityCache* cache = nullptr,
-    GroupedActivityStats* stats = nullptr,
     ActivityEngine engine = ActivityEngine::kSoa);
 
 }  // namespace syndcim::power

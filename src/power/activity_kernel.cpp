@@ -30,9 +30,7 @@ bool canonical_names_match(const cell::Cell& c,
   }
   return true;
 }
-}  // namespace
 
-namespace {
 /// Per-master pin roles: the pin positions of the canonical in_nets and
 /// out_nets orders, D/Q by role and the clock pins. All string matching
 /// of the activity engines happens here, once per master.
@@ -98,66 +96,7 @@ MasterRoles master_roles(const cell::Cell& c) {
   }
   return mi;
 }
-
-/// Sizes the net pool exactly (the spans must never move).
-void reserve_pool(ResolvedGates& out, const FlatNetlist& nl,
-                  const std::vector<MasterRoles>& roles) {
-  out.gates.reserve(nl.gates().size());
-  std::size_t pool_slots = 0;
-  for (const auto& fg : nl.gates()) {
-    pool_slots +=
-        roles[fg.master].in_pos.size() + roles[fg.master].out_pos.size();
-  }
-  out.net_pool.reserve(pool_slots);
-}
-
-/// Appends one gate given its nets by cell pin index.
-void add_gate(ResolvedGates& out, const MasterRoles& mi,
-              const std::uint32_t* by_pin) {
-  ResolvedGate rg;
-  rg.cell = mi.cell;
-  const std::size_t in_off = out.net_pool.size();
-  for (const std::uint16_t p : mi.in_pos) out.net_pool.push_back(by_pin[p]);
-  const std::size_t out_off = out.net_pool.size();
-  for (const std::uint16_t p : mi.out_pos) out.net_pool.push_back(by_pin[p]);
-  rg.in_nets = {out.net_pool.data() + in_off, mi.in_pos.size()};
-  rg.out_nets = {out.net_pool.data() + out_off, mi.out_pos.size()};
-  rg.d_net = mi.d_pin >= 0 ? by_pin[mi.d_pin] : kNoNet;
-  rg.q_net = mi.q_pin >= 0 ? by_pin[mi.q_pin] : kNoNet;
-  for (const std::uint16_t p : mi.clock_pos) {
-    if (by_pin[p] != kNoNet) out.clock_nets.push_back(by_pin[p]);
-  }
-  out.gates.push_back(rg);
-}
 }  // namespace
-
-ResolvedGates resolve_gates(const FlatNetlist& nl, const cell::Library& lib) {
-  // The scalar control arm's own resolution: pin names are matched per
-  // master here, and each gate's by-pin nets are rebuilt from its
-  // connections.
-  const std::size_t n_pin_names = nl.pin_names().size();
-  std::vector<MasterRoles> roles;
-  std::vector<int> pin_of_name;  // [master * n_pin_names + pin name id]
-  for (const std::string& m : nl.master_names()) {
-    roles.push_back(master_roles(lib.get(m)));
-    for (const std::string& pn : nl.pin_names()) {
-      pin_of_name.push_back(roles.back().cell->pin_index(pn));
-    }
-  }
-  ResolvedGates out;
-  reserve_pool(out, nl, roles);
-  std::vector<std::uint32_t> by_pin;
-  for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
-    const std::uint32_t m = nl.gates()[g].master;
-    by_pin.assign(roles[m].cell->pins.size(), kNoNet);
-    for (const auto& pc : nl.gate_pins(g)) {
-      const int pi = pin_of_name[m * n_pin_names + pc.pin_name];
-      if (pi >= 0) by_pin[static_cast<std::size_t>(pi)] = pc.net;
-    }
-    add_gate(out, roles[m], by_pin.data());
-  }
-  return out;
-}
 
 ResolvedGates resolve_gates(const netlist::ResolvedNetlist& rn) {
   const FlatNetlist& nl = rn.netlist();
@@ -167,9 +106,33 @@ ResolvedGates resolve_gates(const netlist::ResolvedNetlist& rn) {
     roles.push_back(master_roles(*rn.master_cell(m)));
   }
   ResolvedGates out;
-  reserve_pool(out, nl, roles);
+  out.gates.reserve(nl.gates().size());
+  // Sized exactly up front: the spans must never move.
+  std::size_t pool_slots = 0;
+  for (const auto& fg : nl.gates()) {
+    pool_slots +=
+        roles[fg.master].in_pos.size() + roles[fg.master].out_pos.size();
+  }
+  out.net_pool.reserve(pool_slots);
   for (std::uint32_t g = 0; g < nl.gates().size(); ++g) {
-    add_gate(out, roles[nl.gates()[g].master], rn.pin_nets(g).data());
+    const MasterRoles& mi = roles[nl.gates()[g].master];
+    const std::uint32_t* by_pin = rn.pin_nets(g).data();
+    ResolvedGate rg;
+    rg.cell = mi.cell;
+    const std::size_t in_off = out.net_pool.size();
+    for (const std::uint16_t p : mi.in_pos) out.net_pool.push_back(by_pin[p]);
+    const std::size_t out_off = out.net_pool.size();
+    for (const std::uint16_t p : mi.out_pos) {
+      out.net_pool.push_back(by_pin[p]);
+    }
+    rg.in_nets = {out.net_pool.data() + in_off, mi.in_pos.size()};
+    rg.out_nets = {out.net_pool.data() + out_off, mi.out_pos.size()};
+    rg.d_net = mi.d_pin >= 0 ? by_pin[mi.d_pin] : kNoNet;
+    rg.q_net = mi.q_pin >= 0 ? by_pin[mi.q_pin] : kNoNet;
+    for (const std::uint16_t p : mi.clock_pos) {
+      if (by_pin[p] != kNoNet) out.clock_nets.push_back(by_pin[p]);
+    }
+    out.gates.push_back(rg);
   }
   return out;
 }
@@ -183,7 +146,6 @@ ActivityKernel::ActivityKernel(const ResolvedGates& rg) {
   out_begin_.reserve(n + 1);
   in_begin_.push_back(0);
   out_begin_.push_back(0);
-  all_ids_.resize(n);
 
   // Truth masks per master cell: bit v of masks[o] is output o's value for
   // input combo v (bit i of v = canonical input i).
@@ -207,7 +169,6 @@ ActivityKernel::ActivityKernel(const ResolvedGates& rg) {
   };
 
   for (std::size_t g = 0; g < n; ++g) {
-    all_ids_[g] = static_cast<std::uint32_t>(g);
     const ResolvedGate& r = rg.gates[g];
     const cell::TimingRole role = r.cell->timing_role();
     if (role == cell::TimingRole::kStorage) {
@@ -248,19 +209,9 @@ ActivityKernel::ActivityKernel(const ResolvedGates& rg) {
   }
 }
 
-void ActivityKernel::run(const ActivitySpec& spec, ActivityModel& am) const {
-  fixpoint(all_ids_.data(), all_ids_.size(), spec, am);
-}
-
 void ActivityKernel::run_members(const std::vector<std::uint32_t>& members,
                                  const ActivitySpec& spec,
                                  ActivityModel& am) const {
-  fixpoint(members.data(), members.size(), spec, am);
-}
-
-void ActivityKernel::fixpoint(const std::uint32_t* ids, std::size_t n,
-                              const ActivitySpec& spec,
-                              ActivityModel& am) const {
   double* p1 = am.p_one.data();
   double* tr = am.toggle_rate.data();
   double probs[32];
@@ -268,10 +219,9 @@ void ActivityKernel::fixpoint(const std::uint32_t* ids, std::size_t n,
   // then sweep compact per-class lists (in the original visit order)
   // instead of re-testing klass_ on every gate every pass.
   std::vector<std::uint32_t> seq, comb;
-  seq.reserve(n);
-  comb.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t g = ids[k];
+  seq.reserve(members.size());
+  comb.reserve(members.size());
+  for (const std::uint32_t g : members) {
     const std::uint8_t cls = klass_[g];
     if (cls == 1 || cls == 2) {
       seq.push_back(g);

@@ -46,14 +46,9 @@ struct ResolvedGates {
 /// matching per gate); throws the library's lookup error for an unknown
 /// master.
 [[nodiscard]] ResolvedGates resolve_gates(const netlist::ResolvedNetlist& rn);
-/// The same view resolved from pin names. propagate_activity (both of its
-/// engines) keeps this resolution, so the bench/perf_power kernel
-/// comparison measures what it always measured.
-[[nodiscard]] ResolvedGates resolve_gates(const netlist::FlatNetlist& nl,
-                                          const cell::Library& lib);
 
 /// Structure-of-arrays activity propagation kernel: the Gauss-Seidel
-/// fixpoint of propagate_activity restructured into flat per-class loops
+/// fixpoint of propagate_activity_grouped restructured into flat per-class loops
 /// (sequential gates as (d, q) pairs; combinational gates as a CSR of
 /// input nets plus one precomputed truth mask per connected output).
 ///
@@ -69,17 +64,12 @@ class ActivityKernel {
   /// at 5 with the 4:2 compressor). Use the scalar engine beyond that.
   explicit ActivityKernel(const ResolvedGates& rg);
 
-  /// Runs the 8-pass fixpoint over all gates in netlist order.
-  void run(const ActivitySpec& spec, ActivityModel& am) const;
   /// Runs the 8-pass fixpoint over a cone only (gate ids in visit order),
   /// reading settled values for everything outside it.
   void run_members(const std::vector<std::uint32_t>& members,
                    const ActivitySpec& spec, ActivityModel& am) const;
 
  private:
-  void fixpoint(const std::uint32_t* ids, std::size_t n,
-                const ActivitySpec& spec, ActivityModel& am) const;
-
   // Gate classes: 0 = skip (unconnected), 1 = storage, 2 = register,
   // 3 = combinational.
   std::vector<std::uint8_t> klass_;
@@ -90,7 +80,6 @@ class ActivityKernel {
   std::vector<std::uint32_t> out_begin_;  // per gate + 1, into outs_
   std::vector<std::uint32_t> outs_;       // connected output nets
   std::vector<std::uint32_t> masks_;      // truth mask per entry of outs_
-  std::vector<std::uint32_t> all_ids_;    // 0..n-1, for run()
 };
 
 }  // namespace syndcim::power

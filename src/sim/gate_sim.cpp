@@ -50,20 +50,18 @@ void index_ports(const std::vector<FlatNetlist::PrimaryIo>& ios,
 }
 }  // namespace
 
-GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes,
-                 bool event_driven)
+GateSim::GateSim(const FlatNetlist& nl, const cell::Library& lib, int lanes)
     : GateSim(std::make_shared<const netlist::ResolvedNetlist>(nl, lib),
-              lanes, event_driven) {}
+              lanes) {}
 
 GateSim::GateSim(std::shared_ptr<const netlist::ResolvedNetlist> owned,
-                 int lanes, bool event_driven)
-    : GateSim(*owned, lanes, event_driven) {
+                 int lanes)
+    : GateSim(*owned, lanes) {
   owned_ = std::move(owned);
 }
 
-GateSim::GateSim(const netlist::ResolvedNetlist& rn, int lanes,
-                 bool event_driven)
-    : rn_(rn), lanes_(lanes), event_driven_(event_driven) {
+GateSim::GateSim(const netlist::ResolvedNetlist& rn, int lanes)
+    : rn_(rn), lanes_(lanes), sweep_(lanes >= kSweepLanes) {
   OBS_SPAN("sim.build");
   if (lanes < 1 || lanes > 64) {
     throw std::invalid_argument("GateSim: lanes must be in [1, 64]");
@@ -120,7 +118,7 @@ GateSim::GateSim(const netlist::ResolvedNetlist& rn, int lanes,
     }
   }
 
-  // Event-driven bookkeeping: per-gate level and per-level dirty lists.
+  // Worklist bookkeeping: per-gate level and per-level dirty lists.
   gate_level_.assign(ngates, kNoLevel);
   dirty_.resize(rn.level_count());
   in_dirty_.assign(ngates, 0);
@@ -198,7 +196,7 @@ void GateSim::write_net(std::uint32_t net, std::uint64_t word) {
   if (prev == word) return;
   values_[net] = word;
   toggles_[net] += static_cast<std::uint64_t>(std::popcount(prev ^ word));
-  if (event_driven_) mark_loads_dirty(net);
+  if (!sweep_) mark_loads_dirty(net);
 }
 
 void GateSim::set_input(std::string_view port, int value) {
@@ -333,7 +331,7 @@ void GateSim::eval() {
     if (net == kNoNet) continue;
     write_net(net, state_[g]);
   }
-  if (event_driven_) {
+  if (!sweep_) {
     std::uint64_t evaluated = 0;
     for (auto& level : dirty_) {
       // A gate's fan-in is driven strictly below its level, so nothing

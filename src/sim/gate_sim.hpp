@@ -13,7 +13,7 @@
 namespace syndcim::sim {
 
 /// Two-valued levelized gate-level simulator with per-net toggle counting,
-/// rebuilt as a 64-lane bit-parallel, event-driven engine.
+/// rebuilt as a 64-lane bit-parallel engine.
 ///
 /// Lane packing: every net holds one `uint64_t` word whose bits are up to
 /// 64 independent stimulus streams ("lanes", PPSFP-style packing). Gates
@@ -23,13 +23,14 @@ namespace syndcim::sim {
 /// bit-identical to the retained scalar reference (`ScalarGateSim`):
 /// every value, toggle count and cycle count matches exactly.
 ///
-/// Event-driven scheduling: a per-level dirty-gate worklist makes `eval()`
-/// visit only gates whose fan-in word actually changed since their last
-/// evaluation, instead of sweeping every level. Because an unchanged
-/// fan-in word can only reproduce the unchanged output word (gates are
-/// pure), event-driven and full-sweep evaluation are exactly equivalent —
-/// same values, same toggles — so `event_driven` is a pure scheduling
-/// knob kept only as the benchmark control arm.
+/// Scheduling: below `kSweepLanes` lanes a per-level dirty-gate worklist
+/// makes `eval()` visit only gates whose fan-in word actually changed
+/// since their last evaluation; from `kSweepLanes` lanes on it sweeps
+/// every level. Because an unchanged fan-in word can only reproduce the
+/// unchanged output word (gates are pure), both schedules are exactly
+/// equivalent — same values, same toggles — and only their cost differs:
+/// the more lanes a word carries, the likelier some lane changed it, so
+/// the worklist's bookkeeping stops paying for the evaluations it skips.
 ///
 /// Sequential semantics: DFF/DFFE/LATCH and SRAM bitcells hold one state
 /// word per gate (64 independent lane states); `step()` evaluates
@@ -43,16 +44,25 @@ namespace syndcim::sim {
 /// stimulus path does no string formatting and no linear netlist scans.
 class GateSim {
  public:
-  /// `lanes` in [1, 64]; `event_driven == false` forces the full-sweep
-  /// schedule (control arm — results are identical either way). Builds
-  /// over a shared resolution, which must outlive the simulator; throws
-  /// std::invalid_argument for an unknown cell or pin, an unconnected
-  /// input, a net with two gate drivers or a combinational loop.
-  explicit GateSim(const netlist::ResolvedNetlist& rn, int lanes = 1,
-                   bool event_driven = true);
+  /// Lane count from which eval() sweeps every level instead of draining
+  /// the dirty worklist. `sim.workload` of the README compile
+  /// (`syndcim compile mac_mhz=300 --sim-lanes L`, Release, shared 4-vCPU
+  /// VM, 3-5 runs each), worklist vs full sweep:
+  ///   L=1: 41-56 ms vs 60-62 ms    L=2: 28-35 ms vs 28-35 ms
+  ///   L=3: 27-29 ms vs 24-25 ms    L=4: 18-21 ms vs 14-22 ms
+  ///   L=8:  7-11 ms vs  6-10 ms    L=64: 9-14 ms vs 11 ms
+  /// and bench/perf_gate_sim (dense random stimulus, 64 lanes): 103 ms
+  /// vs 67 ms. One lane is the only width where skipping pays.
+  static constexpr int kSweepLanes = 2;
+
+  /// `lanes` in [1, 64]. Builds over a shared resolution, which must
+  /// outlive the simulator; throws std::invalid_argument for an unknown
+  /// cell or pin, an unconnected input, a net with two gate drivers or a
+  /// combinational loop.
+  explicit GateSim(const netlist::ResolvedNetlist& rn, int lanes = 1);
   /// Resolves `nl` against `lib` privately (same checks).
   GateSim(const netlist::FlatNetlist& nl, const cell::Library& lib,
-          int lanes = 1, bool event_driven = true);
+          int lanes = 1);
 
   // --- stimulus ---
   /// Broadcasts a scalar bit to every lane of the port's net.
@@ -111,7 +121,6 @@ class GateSim {
   }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
   [[nodiscard]] int lanes() const { return lanes_; }
-  [[nodiscard]] bool event_driven() const { return event_driven_; }
 
   // --- scheduler statistics (obs: sim.gate_evals / sim.events_skipped) ---
   /// Combinational gate evaluations actually performed.
@@ -131,11 +140,10 @@ class GateSim {
   }
 
  private:
-  GateSim(std::shared_ptr<const netlist::ResolvedNetlist> owned, int lanes,
-          bool event_driven);
+  GateSim(std::shared_ptr<const netlist::ResolvedNetlist> owned, int lanes);
   void eval_gate(std::uint32_t g);
-  /// Writes a net word, counts lane toggles, and (event-driven) marks the
-  /// net's combinational loads dirty.
+  /// Writes a net word, counts lane toggles, and (worklist schedule) marks
+  /// the net's combinational loads dirty.
   void write_net(std::uint32_t net, std::uint64_t word);
   void mark_loads_dirty(std::uint32_t net);
   [[nodiscard]] std::uint32_t input_net(std::string_view port) const;
@@ -147,7 +155,7 @@ class GateSim {
   std::shared_ptr<const netlist::ResolvedNetlist> owned_;  // (nl, lib) ctor
   const netlist::ResolvedNetlist& rn_;
   int lanes_ = 1;
-  bool event_driven_ = true;
+  bool sweep_ = false;                    // lanes_ >= kSweepLanes
   std::uint64_t mask_ = 1;                // low `lanes_` bits set
   std::vector<const cell::Cell*> cells_;  // per gate
   std::vector<cell::Kind> kinds_;         // per gate
@@ -159,7 +167,7 @@ class GateSim {
   std::vector<std::uint32_t> seq_gates_;            // registers + bitcells
   std::vector<std::uint32_t> bitcells_;
 
-  // Event-driven worklist: each comb gate's level (its loads per net come
+  // Dirty worklist: each comb gate's level (its loads per net come
   // from the resolution), per-level dirty lists and an in-worklist flag.
   std::vector<std::uint32_t> gate_level_;  // per gate; UINT32_MAX if seq
   std::vector<std::vector<std::uint32_t>> dirty_;  // per level

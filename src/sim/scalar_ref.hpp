@@ -11,7 +11,7 @@ namespace syndcim::sim {
 /// The retained scalar reference simulator: the original one-bit-per-net
 /// (`int8_t`) full-level-sweep engine GateSim grew out of, kept verbatim
 /// as the golden control arm. Its observable behavior — values, toggle
-/// counts, cycles — defines what the 64-lane event-driven GateSim must
+/// counts, cycles — defines what the 64-lane bit-parallel GateSim must
 /// reproduce at lanes=1 (and per lane at any width), and it is the
 /// "scalar seed" baseline `bench/perf_gate_sim` measures speedup against.
 ///

@@ -13,30 +13,7 @@ using core::deep_vec_bytes;
 namespace {
 
 constexpr std::uint8_t kWireVersion = 1;
-constexpr std::uint8_t kTimingVersion = 1;
-
-void encode_arcs(BinWriter& w, const std::vector<BoundaryArc>& arcs) {
-  w.u32(static_cast<std::uint32_t>(arcs.size()));
-  for (const BoundaryArc& a : arcs) {
-    w.str(a.net);
-    w.f64(a.arrival_ps);
-    w.f64(a.slew_ps);
-  }
-}
-
-std::vector<BoundaryArc> decode_arcs(BinReader& r) {
-  const std::uint32_t n = r.len(20);
-  std::vector<BoundaryArc> arcs;
-  arcs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    BoundaryArc a;
-    a.net = r.str();
-    a.arrival_ps = r.f64();
-    a.slew_ps = r.f64();
-    arcs.push_back(std::move(a));
-  }
-  return arcs;
-}
+constexpr std::uint8_t kTimingVersion = 2;
 
 }  // namespace
 
@@ -77,12 +54,6 @@ std::string encode_timing_report(const TimingReport& t) {
     w.f64(g.wns_ps);
     w.f64(g.worst_arrival_ps);
   }
-  w.u32(static_cast<std::uint32_t>(t.interfaces.size()));
-  for (const GroupInterface& gi : t.interfaces) {
-    w.str(gi.group);
-    encode_arcs(w, gi.inputs);
-    encode_arcs(w, gi.outputs);
-  }
   w.f64(t.critical.arrival_ps);
   w.f64(t.critical.required_ps);
   w.str(t.critical.endpoint);
@@ -115,15 +86,6 @@ TimingReport decode_timing_report(std::string_view payload) {
     g.worst_arrival_ps = r.f64();
     t.groups.push_back(std::move(g));
   }
-  const std::uint32_t n_ifaces = r.len(12);
-  t.interfaces.reserve(n_ifaces);
-  for (std::uint32_t i = 0; i < n_ifaces; ++i) {
-    GroupInterface gi;
-    gi.group = r.str();
-    gi.inputs = decode_arcs(r);
-    gi.outputs = decode_arcs(r);
-    t.interfaces.push_back(std::move(gi));
-  }
   t.critical.arrival_ps = r.f64();
   t.critical.required_ps = r.f64();
   t.critical.endpoint = r.str();
@@ -145,16 +107,10 @@ std::size_t deep_bytes(const WireModel& w) {
 }
 
 std::size_t deep_bytes(const TimingReport& t) {
-  std::size_t n = deep_vec_bytes(t.groups) + deep_vec_bytes(t.interfaces) +
+  std::size_t n = deep_vec_bytes(t.groups) +
                   deep_vec_bytes(t.critical.stages) +
                   deep_str_bytes(t.critical.endpoint);
   for (const GroupSlack& g : t.groups) n += deep_str_bytes(g.group);
-  for (const GroupInterface& gi : t.interfaces) {
-    n += deep_str_bytes(gi.group) + deep_vec_bytes(gi.inputs) +
-         deep_vec_bytes(gi.outputs);
-    for (const BoundaryArc& a : gi.inputs) n += deep_str_bytes(a.net);
-    for (const BoundaryArc& a : gi.outputs) n += deep_str_bytes(a.net);
-  }
   for (const PathStage& s : t.critical.stages) {
     n += deep_str_bytes(s.master) + deep_str_bytes(s.group);
   }

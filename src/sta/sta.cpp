@@ -261,54 +261,6 @@ StaEngine::StaEngine(const netlist::ResolvedNetlist& rn)
       }
     }
   }
-
-  // Structural group-interface membership (driver group, crossing nets,
-  // first-use dedup) — the per-analysis pass only annotates at/slew.
-  const std::size_t ngroups = nl.group_names().size();
-  std::vector<std::uint32_t> dgroup(nnets, kNoNet);
-  for (std::uint32_t n = 0; n < nnets; ++n) {
-    if (rn.driver(n) >= 0) {
-      dgroup[n] = nl.gates()[static_cast<std::size_t>(rn.driver(n))].group;
-    }
-  }
-  // A net leaves its driver's group if any other group consumes it or it
-  // is a primary output.
-  std::vector<std::uint8_t> crosses(nnets, 0);
-  for (std::uint32_t g = 0; g < ngates; ++g) {
-    const cell::Cell& c = *rn.cell(g);
-    const std::uint32_t group = nl.gates()[g].group;
-    const auto nets = rn.pin_nets(g);
-    for (std::size_t pi = 0; pi < c.pins.size(); ++pi) {
-      if (!c.pins[pi].is_input) continue;
-      const std::uint32_t n = nets[pi];
-      if (n != kNoNet && dgroup[n] != group) crosses[n] = 1;
-    }
-  }
-  for (const auto& io : nl.primary_outputs()) crosses[io.net] = 1;
-
-  iface_in_.resize(ngroups);
-  iface_out_.resize(ngroups);
-  // First-use dedup: a net is listed once per group per direction.
-  std::vector<std::uint32_t> in_stamp(nnets, kNoNet);
-  std::vector<std::uint32_t> out_stamp(nnets, kNoNet);
-  for (std::uint32_t g = 0; g < ngates; ++g) {
-    const cell::Cell& c = *rn.cell(g);
-    const std::uint32_t group = nl.gates()[g].group;
-    const auto nets = rn.pin_nets(g);
-    for (std::size_t pi = 0; pi < c.pins.size(); ++pi) {
-      const std::uint32_t n = nets[pi];
-      if (n == kNoNet || net_const_[n]) continue;
-      if (c.pins[pi].is_input) {
-        if (dgroup[n] == group || in_stamp[n] == group) continue;
-        in_stamp[n] = group;
-        iface_in_[group].push_back(n);
-      } else {
-        if (!crosses[n] || out_stamp[n] == group) continue;
-        out_stamp[n] = group;
-        iface_out_[group].push_back(n);
-      }
-    }
-  }
 }
 
 const std::vector<StaEngine::GateInfo>& StaEngine::scalar_gates() const {
@@ -725,25 +677,6 @@ TimingReport StaEngine::analyze_impl(const StaOptions& opt,
   rep.fmax_mhz = min_period > 0 ? 1.0e6 / rep.min_period_ps : 0.0;
   for (GroupSlack& gs : groups) {
     if (std::isfinite(gs.wns_ps)) rep.groups.push_back(std::move(gs));
-  }
-
-  if (opt.collect_group_interfaces) {
-    const auto& gnames = nl_.group_names();
-    rep.interfaces.resize(gnames.size());
-    for (std::size_t i = 0; i < gnames.size(); ++i) {
-      GroupInterface& gif = rep.interfaces[i];
-      gif.group = gnames[i];
-      gif.inputs.reserve(iface_in_[i].size());
-      for (const std::uint32_t n : iface_in_[i]) {
-        gif.inputs.push_back(
-            {std::string(nl_.net_name(n)), ps.ts[n].at * ds, ps.ts[n].slew * ds});
-      }
-      gif.outputs.reserve(iface_out_[i].size());
-      for (const std::uint32_t n : iface_out_[i]) {
-        gif.outputs.push_back(
-            {std::string(nl_.net_name(n)), ps.ts[n].at * ds, ps.ts[n].slew * ds});
-      }
-    }
   }
 
   if (obs::enabled()) {

@@ -62,10 +62,6 @@ struct StaOptions {
   /// (reported as STA-UNKNOWN-INPUT warnings when `diag` is set — a
   /// misspelled name silently re-times a path that should be static).
   std::vector<std::string> static_inputs;
-  /// Also collect per-group boundary summaries (TimingReport::interfaces).
-  /// Off by default: the extra pass costs one sweep over all pins, which
-  /// search-time callers running thousands of analyses don't need.
-  bool collect_group_interfaces = false;
   StaKernel kernel = StaKernel::kSoa;
   /// Optional diagnostics sink for constraint-sanity warnings.
   core::DiagEngine* diag = nullptr;
@@ -93,27 +89,6 @@ struct GroupSlack {
   double worst_arrival_ps = 0.0;
 };
 
-/// Timing of one net crossing a group boundary (voltage/temperature
-/// scaling already applied, like every other reported time).
-struct BoundaryArc {
-  std::string net;
-  double arrival_ps = 0.0;
-  double slew_ps = 0.0;
-};
-
-/// Interface summary of one depth-1 instance group: the arrival/slew of
-/// every net entering the group (consumed by its gates but driven
-/// elsewhere) and leaving it (driven by its gates and consumed outside, or
-/// a primary output). A group whose structure and input arcs are unchanged
-/// between runs necessarily reproduces its output arcs, so these
-/// summaries are what incremental consumers compare instead of
-/// re-levelizing the cone.
-struct GroupInterface {
-  std::string group;
-  std::vector<BoundaryArc> inputs;
-  std::vector<BoundaryArc> outputs;
-};
-
 struct TimingReport {
   double wns_ps = 0.0;  ///< worst negative slack (positive if met)
   double tns_ps = 0.0;  ///< total negative slack (<= 0)
@@ -124,10 +99,6 @@ struct TimingReport {
   /// Minimum feasible weight-update period.
   double min_write_period_ps = 0.0;
   std::vector<GroupSlack> groups;
-  /// Per-group boundary summaries; populated only when
-  /// StaOptions::collect_group_interfaces is set. Group order follows
-  /// FlatNetlist::group_names(); nets appear in first-use gate order.
-  std::vector<GroupInterface> interfaces;
   TimingPath critical;
 
   [[nodiscard]] bool met() const { return wns_ps >= 0.0; }
@@ -299,9 +270,6 @@ class StaEngine {
   std::vector<std::uint8_t> net_const_;         // net_const != kNone
   std::vector<LaunchPoint> launches_;
   std::vector<SetupEndpoint> setup_eps_;
-  // Structural group-interface membership (net ids in report order).
-  std::vector<std::vector<std::uint32_t>> iface_in_;
-  std::vector<std::vector<std::uint32_t>> iface_out_;
 
   mutable std::mutex plan_mu_;
   mutable std::shared_ptr<const LoadPlan> plan_;

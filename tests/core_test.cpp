@@ -343,7 +343,7 @@ TEST(Power, HotCornerRaisesLeakageOnly) {
   const auto res = compiler.compile(small_spec());
   const auto flat = netlist::flatten(res.impl.macro.design,
                                      res.impl.macro.top);
-  const auto act = power::propagate_activity(flat, lib(), {});
+  const auto act = power::propagate_activity_grouped(flat, lib(), {});
   power::PowerOptions cold, hot;
   cold.temp_c = 25;
   hot.temp_c = 125;

@@ -117,13 +117,12 @@ const PipelinePayloads& payloads() {
       sta::StaOptions topt;
       topt.clock_period_ps = 3000.0;
       topt.wire = out.route.wire;
-      topt.collect_group_interfaces = true;
       core::DiagEngine dg;
       topt.diag = &dg;
       out.timing.timing = sta.analyze(topt);
       out.timing.diags = dg.diags();
     }
-    out.activity = power::propagate_activity(out.flat, lib, {});
+    out.activity = power::propagate_activity_grouped(out.flat, lib, {});
     {
       power::PowerOptions popt;
       popt.freq_mhz = 300.0;
@@ -429,6 +428,33 @@ TEST(DiskBlobStore, TwoProcessesShareOneStore) {
   }
   EXPECT_EQ(parent.stats().corrupt, 0u);
   EXPECT_EQ(parent.stats().truncated, 0u);
+}
+
+TEST(DiskBlobStore, OpenSweepsOnlyDeadWritersTmpFiles) {
+  const std::string root = fresh_root("store_tmp_sweep");
+  core::DiskBlobStore first(root);
+  ASSERT_TRUE(first.usable());
+
+  // A child that has exited and been reaped: its pid names no process.
+  const pid_t dead = fork();
+  ASSERT_GE(dead, 0) << "fork failed";
+  if (dead == 0) _exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(dead, &status, 0), dead);
+
+  const std::filesystem::path tmp = std::filesystem::path(root) / "tmp";
+  const auto live_file = tmp / (std::to_string(::getpid()) + "-7");
+  const auto dead_file = tmp / (std::to_string(dead) + "-7");
+  for (const auto& f : {live_file, dead_file}) {
+    std::ofstream(f) << "half-written object";
+  }
+
+  // Opening a second store on the same root must not pull a live
+  // writer's file out from under it, but does reclaim the dead one's.
+  core::DiskBlobStore second(root);
+  ASSERT_TRUE(second.usable());
+  EXPECT_TRUE(std::filesystem::exists(live_file));
+  EXPECT_FALSE(std::filesystem::exists(dead_file));
 }
 
 // ---------------------------------------------------------------------------

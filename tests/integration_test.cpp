@@ -146,7 +146,7 @@ TEST(SclComposition, MatchesFullMacroAnalysis) {
   const auto area = power::analyze_area(flat, lib());
   EXPECT_NEAR(est.area_um2, area.total_um2, 0.15 * area.total_um2);
 
-  const auto act = power::propagate_activity(flat, lib(), {});
+  const auto act = power::propagate_activity_grouped(flat, lib(), {});
   power::PowerOptions popt;
   popt.freq_mhz = spec.mac_freq_mhz;
   const auto pw = power::analyze_power(flat, lib(), act, popt);

@@ -149,7 +149,7 @@ TEST(Power, ProbabilisticTracksSimWithinFactor) {
   power::ActivitySpec spec;
   spec.input_p1 = 0.3;  // controls/din mix
   const auto predicted =
-      power::propagate_activity(tb.netlist(), lib(), spec);
+      power::propagate_activity_grouped(tb.netlist(), lib(), spec);
   const double p_meas =
       power::analyze_power(tb.netlist(), lib(), measured, {}).dynamic_uw();
   const double p_pred =
@@ -161,7 +161,7 @@ TEST(Power, ProbabilisticTracksSimWithinFactor) {
 TEST(Power, ProbabilisticActivityProperties) {
   const auto md = rtlgen::gen_macro(tiny_cfg());
   const auto flat = netlist::flatten(md.design, md.top);
-  const auto act = power::propagate_activity(flat, lib(), {});
+  const auto act = power::propagate_activity_grouped(flat, lib(), {});
   for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
     EXPECT_GE(act.p_one[n], 0.0);
     EXPECT_LE(act.p_one[n], 1.0);
@@ -220,7 +220,7 @@ TEST(ActivityBugfix, ReorderedLibertyPinOrderResolvedByRole) {
 
   power::ActivitySpec spec;
   spec.input_p1 = 0.9;
-  const auto act = power::propagate_activity(flat, rlib, spec);
+  const auto act = power::propagate_activity_grouped(flat, rlib, spec);
   std::uint32_t qn = UINT32_MAX;
   for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
     if (flat.net_name(n) == "q") qn = n;
@@ -252,10 +252,10 @@ TEST(KernelGolden, ActivityEnginesBitIdenticalAcrossMacroVariants) {
     spec.input_p1 = 0.37;
     spec.input_toggle = 0.21;
     spec.weight_p1 = 0.62;
-    const auto soa = power::propagate_activity(
-        flat, lib(), spec, power::ActivityEngine::kSoa);
-    const auto scalar = power::propagate_activity(
-        flat, lib(), spec, power::ActivityEngine::kScalar);
+    const auto soa = power::propagate_activity_grouped(
+        flat, lib(), spec, nullptr, power::ActivityEngine::kSoa);
+    const auto scalar = power::propagate_activity_grouped(
+        flat, lib(), spec, nullptr, power::ActivityEngine::kScalar);
     ASSERT_EQ(soa.p_one.size(), scalar.p_one.size());
     for (std::size_t n = 0; n < soa.p_one.size(); ++n) {
       EXPECT_EQ(soa.p_one[n], scalar.p_one[n]) << "net " << n;
@@ -276,18 +276,6 @@ TEST(KernelGolden, ActivityEnginesBitIdenticalAcrossMacroVariants) {
                 rep_scalar.by_group[g].dynamic_uw);
       EXPECT_EQ(rep_soa.by_group[g].leakage_uw,
                 rep_scalar.by_group[g].leakage_uw);
-    }
-
-    // Grouped (per-cone) propagation agrees across engines as well.
-    const auto grp_soa = power::propagate_activity_grouped(
-        flat, lib(), spec, nullptr, nullptr, power::ActivityEngine::kSoa);
-    const auto grp_scalar = power::propagate_activity_grouped(
-        flat, lib(), spec, nullptr, nullptr,
-        power::ActivityEngine::kScalar);
-    for (std::size_t n = 0; n < grp_soa.p_one.size(); ++n) {
-      EXPECT_EQ(grp_soa.p_one[n], grp_scalar.p_one[n]) << "net " << n;
-      EXPECT_EQ(grp_soa.toggle_rate[n], grp_scalar.toggle_rate[n])
-          << "net " << n;
     }
   }
 }

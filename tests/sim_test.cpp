@@ -176,15 +176,15 @@ rtlgen::MacroConfig sim_macro_cfg(int variant) {
   return cfg;
 }
 
-// Tentpole contract: with lanes == 1 the bit-parallel event-driven engine
-// is bit-identical to the retained scalar reference — every net value,
-// every toggle count, every cycle — across structurally different
-// generated macros under random stimulus.
+// Core contract: with lanes == 1 the bit-parallel engine is bit-identical
+// to the retained scalar reference — every net value, every toggle
+// count, every cycle — across structurally different generated macros
+// under random stimulus.
 TEST(GateSimLanes, Lanes1BitIdenticalToScalarReference) {
   for (int variant = 0; variant < 3; ++variant) {
     const auto md = rtlgen::gen_macro(sim_macro_cfg(variant));
     const auto flat = netlist::flatten(md.design, md.top);
-    sim::GateSim gs(flat, lib(), /*lanes=*/1, /*event_driven=*/true);
+    sim::GateSim gs(flat, lib(), /*lanes=*/1);
     sim::ScalarGateSim ref(flat, lib());
     std::mt19937_64 rng(7 + static_cast<unsigned>(variant));
     for (int t = 0; t < 40; ++t) {
@@ -253,35 +253,69 @@ TEST(GateSimLanes, Lane64TogglesMatchPerLaneScalarReplay) {
   }
 }
 
-// The dirty-gate worklist is a pure scheduling optimization: under
-// stimulus that touches only one input per cycle it must produce exactly
-// the full sweep's values and toggles while evaluating strictly fewer
-// gates.
-TEST(GateSimLanes, EventDrivenMatchesFullSweep) {
+// The engine picks its schedule from the lane count, and either schedule
+// reproduces the scalar reference exactly. Under stimulus that touches
+// only one input per cycle, a 1-lane engine drains the dirty worklist and
+// skips evaluations; a 64-lane engine sweeps every level and skips none.
+TEST(GateSimLanes, ScheduleFollowsLaneCount) {
+  static_assert(1 < sim::GateSim::kSweepLanes &&
+                sim::GateSim::kSweepLanes <= 64);
   const auto md = rtlgen::gen_macro(sim_macro_cfg(2));
   const auto flat = netlist::flatten(md.design, md.top);
-  sim::GateSim ev(flat, lib(), 8, /*event_driven=*/true);
-  sim::GateSim sw(flat, lib(), 8, /*event_driven=*/false);
   const auto& ins = flat.primary_inputs();
+  constexpr int kSteps = 40;
+  // stim[t] = (input index, packed 64-lane word) driven at step t.
+  std::vector<std::pair<std::size_t, std::uint64_t>> stim;
   std::mt19937_64 rng(13);
-  for (int t = 0; t < 60; ++t) {
-    const auto& io = ins[rng() % ins.size()];
-    const std::uint64_t word = rng();
-    ev.set_input_word(io.name, word);
-    sw.set_input_word(io.name, word);
-    ev.step();
-    sw.step();
+  for (int t = 0; t < kSteps; ++t) {
+    const std::size_t i = rng() % ins.size();
+    stim.emplace_back(i, rng());
   }
-  ev.eval();
-  sw.eval();
+
+  // Replays lane `l` of the stimulus on the scalar reference.
+  const auto replay = [&](int l) {
+    auto ref = std::make_unique<sim::ScalarGateSim>(flat, lib());
+    for (const auto& [i, word] : stim) {
+      ref->set_input(ins[i].name, static_cast<int>(word >> l & 1u));
+      ref->step();
+    }
+    ref->eval();
+    return ref;
+  };
+
+  sim::GateSim one(flat, lib(), 1);
+  sim::GateSim wide(flat, lib(), 64);
+  for (const auto& [i, word] : stim) {
+    one.set_input_word(ins[i].name, word);
+    wide.set_input_word(ins[i].name, word);
+    one.step();
+    wide.step();
+  }
+  one.eval();
+  wide.eval();
+
+  const auto ref0 = replay(0);
   for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
-    ASSERT_EQ(ev.net_word(n), sw.net_word(n)) << "net " << n;
-    ASSERT_EQ(ev.net_toggles()[n], sw.net_toggles()[n]) << "net " << n;
+    ASSERT_EQ(one.net_value(n), ref0->net_value(n)) << "net " << n;
+    ASSERT_EQ(one.net_toggles()[n], ref0->net_toggles()[n]) << "net " << n;
   }
-  EXPECT_LT(ev.gate_evals(), sw.gate_evals());
-  EXPECT_GT(ev.events_skipped(), 0u);
-  EXPECT_EQ(ev.gate_evals() + ev.events_skipped(), sw.gate_evals());
-  EXPECT_EQ(sw.events_skipped(), 0u);
+  EXPECT_GT(one.events_skipped(), 0u);
+  EXPECT_EQ(one.gate_evals() + one.events_skipped(), wide.gate_evals());
+
+  EXPECT_EQ(wide.events_skipped(), 0u);
+  std::vector<std::uint64_t> toggle_sum(flat.net_count(), 0);
+  for (int l = 0; l < 64; ++l) {
+    const auto ref = replay(l);
+    for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
+      toggle_sum[n] += ref->net_toggles()[n];
+      ASSERT_EQ(static_cast<int>(wide.net_word(n) >> l & 1u),
+                ref->net_value(n))
+          << "lane " << l << " net " << n;
+    }
+  }
+  for (std::uint32_t n = 0; n < flat.net_count(); ++n) {
+    ASSERT_EQ(wide.net_toggles()[n], toggle_sum[n]) << "net " << n;
+  }
 }
 
 // One protocol pass of run_mac_int_lanes carries an independent MAC per

@@ -404,24 +404,6 @@ void expect_report_equal(const sta::TimingReport& a,
     EXPECT_EQ(a.groups[i].wns_ps, b.groups[i].wns_ps);
     EXPECT_EQ(a.groups[i].worst_arrival_ps, b.groups[i].worst_arrival_ps);
   }
-  ASSERT_EQ(a.interfaces.size(), b.interfaces.size());
-  for (std::size_t i = 0; i < a.interfaces.size(); ++i) {
-    const auto& ga = a.interfaces[i];
-    const auto& gb = b.interfaces[i];
-    EXPECT_EQ(ga.group, gb.group);
-    ASSERT_EQ(ga.inputs.size(), gb.inputs.size());
-    ASSERT_EQ(ga.outputs.size(), gb.outputs.size());
-    for (std::size_t j = 0; j < ga.inputs.size(); ++j) {
-      EXPECT_EQ(ga.inputs[j].net, gb.inputs[j].net);
-      EXPECT_EQ(ga.inputs[j].arrival_ps, gb.inputs[j].arrival_ps);
-      EXPECT_EQ(ga.inputs[j].slew_ps, gb.inputs[j].slew_ps);
-    }
-    for (std::size_t j = 0; j < ga.outputs.size(); ++j) {
-      EXPECT_EQ(ga.outputs[j].net, gb.outputs[j].net);
-      EXPECT_EQ(ga.outputs[j].arrival_ps, gb.outputs[j].arrival_ps);
-      EXPECT_EQ(ga.outputs[j].slew_ps, gb.outputs[j].slew_ps);
-    }
-  }
   EXPECT_EQ(a.critical.arrival_ps, b.critical.arrival_ps);
   EXPECT_EQ(a.critical.required_ps, b.critical.required_ps);
   EXPECT_EQ(a.critical.endpoint, b.critical.endpoint);
@@ -441,7 +423,6 @@ TEST(KernelGolden, StaSoaMatchesScalarBitForBit) {
     const auto flat = netlist::flatten(md.design, md.top);
     sta::StaEngine eng(flat, lib());
     sta::StaOptions opt;
-    opt.collect_group_interfaces = true;
     opt.input_delay_ps = 120.0;
     opt.vdd = 1.0;
     // Mixed wire model: fanout estimate plus scattered back-annotations,
@@ -484,7 +465,6 @@ TEST(KernelGolden, StaSoaMatchesScalarOnParsedLibrary) {
   const auto flat = netlist::flatten(md.design, md.top);
   sta::StaEngine eng(flat, parsed);
   sta::StaOptions opt;
-  opt.collect_group_interfaces = true;
   opt.static_inputs = md.static_control_ports();
   opt.wire.per_net_cap_ff.assign(flat.net_count(), -1.0);
   for (std::uint32_t n = 0; n < flat.net_count(); n += 5) {
@@ -495,7 +475,6 @@ TEST(KernelGolden, StaSoaMatchesScalarOnParsedLibrary) {
   opt.kernel = sta::StaKernel::kScalar;
   const auto scalar = eng.analyze(opt);
   expect_report_equal(soa, scalar);
-  EXPECT_FALSE(soa.interfaces.empty());
   EXPECT_FALSE(soa.critical.stages.empty());
   EXPECT_GT(soa.min_period_ps, 0.0);
 }

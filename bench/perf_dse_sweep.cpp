@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
   // scaling gate below measures the threads, not the store's writes.
   dse::SweepOptions opt;
   opt.threads = threads;
-  opt.use_cache = true;
   const auto t_cold = std::chrono::steady_clock::now();
   const dse::SweepReport cold = dse::run_sweep(lib, specs, opt);
   const double sec_cold = seconds_since(t_cold);

@@ -7,11 +7,11 @@
 #include <exception>
 #include <mutex>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/diag.hpp"
 #include "core/diskstore.hpp"
-#include "dse/shard.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
 #include "netlist/flatten.hpp"
@@ -113,7 +113,7 @@ EvalCacheStats cache_deltas(const EvalCacheStats& before,
   return after;
 }
 
-/// Non-dominated filtering over the merged shard fronts. Unlike the
+/// Non-dominated filtering over the merged per-spec fronts. Unlike the
 /// per-spec (power, area) front, the global merge spans specs with
 /// different clock targets, so throughput joins the dominance check:
 /// a 450 MHz design burning more power than a 250 MHz one is not
@@ -262,8 +262,8 @@ SweepReport run_sweep(const cell::Library& lib,
   const int threads =
       opt.threads > 0 ? opt.threads : WorkStealingPool::default_threads();
 
-  // One shared SCL behind a stateless backend, optionally memoized by
-  // the eval cache. Every worker characterizes through one
+  // One shared SCL behind a stateless backend, memoized by the eval
+  // cache. Every worker characterizes through one
   // subcircuit-artifact store — the only memo below the eval cache, and
   // spec-independent, so every task benefits; disabling it bypasses the
   // tiers but runs the identical code path. A caller-owned store (the serve
@@ -297,15 +297,12 @@ SweepReport run_sweep(const cell::Library& lib,
     own_cache.attach_blob_store(disk.get(), eval_store_prefix(lib));
   }
   CachedEvalBackend cached(raw, cache);
-  core::EvalBackend& backend =
-      opt.use_cache ? static_cast<core::EvalBackend&>(cached) : raw;
-  core::MsoSearcher searcher(backend);
+  core::MsoSearcher searcher(cached);
 
   // Enumerate every (spec, trajectory) task up front; seeds are cheap.
   // Results land in preallocated slots so the merge below is independent
   // of the execution schedule. Under --shard i/N only the owned specs
-  // get tasks; the others keep empty slots (and empty per-spec results),
-  // preserving global spec indices for the byte-identical merge.
+  // get tasks; the others keep empty slots (and empty per-spec results).
   struct Task {
     std::size_t spec_idx;
     std::size_t traj_idx;
@@ -313,8 +310,10 @@ SweepReport run_sweep(const cell::Library& lib,
   };
   std::vector<Task> tasks;
   std::vector<std::vector<core::SearchResult>> slots(specs.size());
+  const std::vector<bool> owned =
+      shard_owns(specs, opt.shard_index, opt.shard_count);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!shard_owns(i, opt.shard_index, opt.shard_count)) continue;
+    if (!owned[i]) continue;
     auto seeds = core::MsoSearcher::trajectory_seeds(specs[i]);
     slots[i].resize(seeds.size());
     for (std::size_t j = 0; j < seeds.size(); ++j) {
@@ -365,8 +364,6 @@ SweepReport run_sweep(const cell::Library& lib,
     rep.per_spec.push_back(std::move(sr));
   }
 
-  // Global reduction, shared with the shard merge (dse/shard.cpp): see
-  // merge_global_frontier below.
   rep.frontier = merge_global_frontier(rep.per_spec);
 
   // Static sanity of every surviving frontier point: a frontier entry is
@@ -417,9 +414,26 @@ SweepReport run_sweep(const cell::Library& lib,
   return rep;
 }
 
+std::vector<bool> shard_owns(const std::vector<core::PerfSpec>& specs,
+                             std::size_t shard_index,
+                             std::size_t shard_count) {
+  std::vector<bool> owned(specs.size(), true);
+  if (shard_count <= 1) return owned;
+  std::unordered_map<std::string, std::size_t> group_of;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    core::PerfSpec s = specs[i];
+    s.pref = {};
+    const std::size_t group =
+        group_of.try_emplace(core::spec_full_key(s), group_of.size())
+            .first->second;
+    owned[i] = group % shard_count == shard_index;
+  }
+  return owned;
+}
+
 std::vector<FrontierPoint> merge_global_frontier(
     const std::vector<SpecResult>& per_spec) {
-  // Merge the shard fronts, dropping duplicate (config, timing-knob)
+  // Merge the per-spec fronts, dropping duplicate (config, timing-knob)
   // evaluations (specs differing only in PPA preference explore
   // identical points), then re-filter dominance over the union.
   std::vector<FrontierPoint> merged;

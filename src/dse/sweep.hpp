@@ -36,8 +36,7 @@ struct SweepGrid {
 [[nodiscard]] SweepGrid grid_from_kv(std::map<std::string, std::string> kv);
 
 struct SweepOptions {
-  int threads = 0;         ///< <= 0: hardware concurrency
-  bool use_cache = true;   ///< memoize evaluations across specs/trajectories
+  int threads = 0;  ///< <= 0: hardware concurrency
   /// Second, finer cache tier under the whole-config evaluation cache:
   /// the content-addressed subcircuit-artifact store shared by every
   /// worker. A one-knob config delta misses the whole-config tier but
@@ -55,9 +54,8 @@ struct SweepOptions {
   /// tenants; report/metric statistics are per-run deltas either way.
   core::ArtifactStore* shared_store = nullptr;
   /// Long-lived whole-config evaluation cache to memoize through instead
-  /// of a sweep-private one (nullptr = private; only read when
-  /// `use_cache`). A shared cache is never attached to `store_dir` — its
-  /// owner decides persistence.
+  /// of a sweep-private one (nullptr = private). A shared cache is never
+  /// attached to `store_dir` — its owner decides persistence.
   EvalCache* shared_eval_cache = nullptr;
   /// Cooperative cancellation: checked before every (spec, trajectory)
   /// task and before the frontier lint. A tripped token makes the sweep
@@ -74,10 +72,10 @@ struct SweepOptions {
   /// only.
   std::string store_dir;
   /// Deterministic multi-process partition of the spec grid: this run
-  /// evaluates only the specs whose global index i satisfies
-  /// i % shard_count == shard_index (see dse/shard.hpp). Spec indices
-  /// stay global, so shard results merge byte-identically to a
-  /// single-process run. shard_count <= 1 = no sharding.
+  /// evaluates only the specs shard_owns() assigns to shard_index, and
+  /// leaves the others' per-spec results empty. Shards share `store_dir`;
+  /// an unsharded run over it afterwards is the merge, served entirely
+  /// from the store. shard_count <= 1 = no sharding.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   /// Sink for persistence findings (CACHE-* from the on-disk store).
@@ -116,11 +114,11 @@ struct FrontierPoint {
 
 struct SweepReport {
   std::vector<SpecResult> per_spec;
-  /// Deduplicated global Pareto frontier: union of the per-spec fronts
-  /// (the "shard fronts"), identical (config, timing-knob) points
-  /// merged, then non-dominated filtering over the union on
-  /// (power, area, throughput) — throughput joins the per-spec
-  /// power/area objectives because specs differ in clock target.
+  /// Deduplicated global Pareto frontier: union of the per-spec fronts,
+  /// identical (config, timing-knob) points merged, then non-dominated
+  /// filtering over the union on (power, area, throughput) — throughput
+  /// joins the per-spec power/area objectives because specs differ in
+  /// clock target.
   std::vector<FrontierPoint> frontier;
   EvalCacheStats cache;
   /// Per-tier hit/miss/occupancy of the subcircuit-artifact store
@@ -151,17 +149,24 @@ struct SweepReport {
                                     const std::vector<core::PerfSpec>& specs,
                                     const SweepOptions& opt = {});
 
-/// Global reduction shared by run_sweep and dse::merge_shards: merges
-/// the per-spec Pareto fronts in global spec order, drops duplicate
-/// (config, timing-knob) evaluations, then dominance-filters over the
-/// union. Pure function of `per_spec` — the shard-merge determinism
-/// argument rests on both callers funneling through this.
+/// Spec ownership under `--shard shard_index/shard_count`: element i is
+/// true iff that shard evaluates specs[i]. Specs differing only in PPA
+/// preference have identical eval keys, so they form one group with one
+/// owner; groups are numbered in order of first appearance and group g
+/// belongs to shard g % shard_count. shard_count <= 1 owns every spec.
+[[nodiscard]] std::vector<bool> shard_owns(
+    const std::vector<core::PerfSpec>& specs, std::size_t shard_index,
+    std::size_t shard_count);
+
+/// Global reduction of run_sweep: merges the per-spec Pareto fronts in
+/// global spec order, drops duplicate (config, timing-knob) evaluations,
+/// then dominance-filters over the union. Pure function of `per_spec`.
 [[nodiscard]] std::vector<FrontierPoint> merge_global_frontier(
     const std::vector<SpecResult>& per_spec);
 
 /// The sequential frontier lint run_sweep performs (rtlgen → flatten →
 /// lint per point, deterministic order); fills lint_errors/lint_warnings
-/// and per-point timelines. Shared with dse::merge_shards.
+/// and per-point timelines.
 void lint_frontier_points(const cell::Library& lib,
                           std::vector<FrontierPoint>& frontier,
                           core::ArtifactStore& store);

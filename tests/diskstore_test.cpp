@@ -5,11 +5,14 @@
 // protocol, eval outcomes persisted in the same store (served warm,
 // rejected when undecodable, never shared across cell libraries),
 // warm-restart sweep equivalence (cold frontier JSON == warm frontier
-// JSON), and shard-merge byte-identity against a single-process sweep.
+// JSON), and sharded sweeps whose merge — an unsharded sweep over the
+// shards' store — is byte-identical to a single-process sweep.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -20,9 +23,9 @@
 #include "core/binio.hpp"
 #include "core/diag.hpp"
 #include "core/diskstore.hpp"
+#include "core/spec.hpp"
 #include "core/stage.hpp"
 #include "dse/eval_cache.hpp"
-#include "dse/shard.hpp"
 #include "dse/sweep.hpp"
 #include "layout/floorplan.hpp"
 #include "layout/serialize.hpp"
@@ -632,98 +635,126 @@ TEST(SweepPersistence, UnusableStoreDirStillCompletesAndIsDiagnosed) {
 }
 
 TEST(ShardedSweep, ShardOwnsPartitionsExactly) {
+  // The default 12-spec grid: frequency x MCR x preference.
+  const std::vector<core::PerfSpec> specs = dse::grid_from_kv({}).expand();
+  ASSERT_EQ(specs.size(), 12u);
+  auto without_pref = [](core::PerfSpec s) {
+    s.pref = {};
+    return core::spec_full_key(s);
+  };
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    for (std::size_t i = 0; i < 12; ++i) {
+    std::vector<std::vector<bool>> owns;
+    for (std::size_t s = 0; s < n; ++s) {
+      owns.push_back(dse::shard_owns(specs, s, n));
+    }
+    std::vector<std::size_t> owner(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
       std::size_t owners = 0;
       for (std::size_t s = 0; s < n; ++s) {
-        owners += dse::shard_owns(i, s, n) ? 1 : 0;
+        if (owns[s][i]) {
+          ++owners;
+          owner[i] = s;
+        }
       }
       EXPECT_EQ(owners, 1u) << "spec " << i << " shards " << n;
     }
+    // Preference twins have identical eval keys: one shard owns both.
+    std::size_t twins = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      for (std::size_t j = i + 1; j < specs.size(); ++j) {
+        if (without_pref(specs[i]) != without_pref(specs[j])) continue;
+        ++twins;
+        EXPECT_EQ(owner[i], owner[j])
+            << "specs " << i << " and " << j << " shards " << n;
+      }
+    }
+    EXPECT_EQ(twins, 6u);
   }
+  const std::vector<bool> first = dse::shard_owns(specs, 0, 2);
+  EXPECT_EQ(std::count(first.begin(), first.end(), true), 6);
 }
 
-TEST(ShardedSweep, TwoShardsMergeByteIdenticalToSingleProcess) {
-  const std::string store = fresh_root("shard_store");
+namespace {
+
+/// Two frequencies x two preferences: four specs, two preference-twin
+/// groups, so each of two shards owns one frequency.
+std::vector<core::PerfSpec> shard_grid() {
   dse::SweepGrid grid;
   grid.base = small_spec();
   grid.mac_freqs_mhz = {250.0, 400.0};
-  const std::vector<core::PerfSpec> specs = grid.expand();
-  ASSERT_EQ(specs.size(), 2u);
+  grid.prefs = {core::named_pref("balanced"), core::named_pref("power")};
+  return grid.expand();
+}
 
-  // Single-process reference (lints its frontier).
+dse::SweepReport run_shard(const std::vector<core::PerfSpec>& specs,
+                           const std::string& store, std::size_t shard) {
+  dse::SweepOptions opt;
+  opt.threads = 2;
+  opt.store_dir = store;
+  opt.shard_index = shard;
+  opt.shard_count = 2;
+  opt.lint_frontier = false;  // the final unsharded run lints the frontier
+  return dse::run_sweep(test_library(), specs, opt);
+}
+
+}  // namespace
+
+TEST(ShardedSweep, ShardsThenUnshardedRunIsByteIdentical) {
+  const std::string store = fresh_root("shard_store");
+  const std::vector<core::PerfSpec> specs = shard_grid();
+  ASSERT_EQ(specs.size(), 4u);
+
   dse::SweepOptions ref;
   ref.threads = 2;
   const dse::SweepReport whole = dse::run_sweep(test_library(), specs, ref);
-  const std::string want = dse::sweep_frontier_json(whole);
 
   // Two shard "processes" over a shared store dir.
-  std::vector<std::string> files;
+  std::uint64_t shard_misses = 0;
   for (std::size_t sh = 0; sh < 2; ++sh) {
-    dse::SweepOptions opt;
-    opt.threads = 2;
-    opt.store_dir = store;
-    opt.shard_index = sh;
-    opt.shard_count = 2;
-    opt.lint_frontier = false;  // the merge lints the real frontier
-    const dse::SweepReport rep = dse::run_sweep(test_library(), specs, opt);
-    // Unowned slots stay empty, owned slots keep their global index.
+    const dse::SweepReport rep = run_shard(specs, store, sh);
+    const std::vector<bool> owned = dse::shard_owns(specs, sh, 2);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const bool owned = dse::shard_owns(i, sh, 2);
-      EXPECT_EQ(!rep.per_spec[i].result.explored.empty(), owned)
+      EXPECT_EQ(!rep.per_spec[i].result.explored.empty(), owned[i])
           << "shard " << sh << " spec " << i;
     }
-    const dse::ShardResult sr = dse::make_shard_result(specs, rep, sh, 2);
-    EXPECT_EQ(sr.owned.size(), 1u);
-    const std::string path =
-        store + "/shard" + std::to_string(sh) + ".bin";
-    ASSERT_TRUE(dse::write_shard_file(path, sr));
-    files.push_back(path);
+    // The shards' evaluations are disjoint: neither loads the other's.
+    EXPECT_GT(rep.cache.misses, 0u) << "shard " << sh;
+    EXPECT_EQ(rep.cache.loaded, 0u) << "shard " << sh;
+    shard_misses += rep.cache.misses;
   }
+  EXPECT_EQ(shard_misses, whole.cache.misses);
 
-  core::DiagEngine diag;
-  dse::MergeOptions mopt;
-  mopt.store_dir = store;  // merge lint reads through the shared store
-  mopt.diag = &diag;
-  const dse::SweepReport merged =
-      dse::merge_shards(test_library(), files, mopt);
-  EXPECT_EQ(dse::sweep_frontier_json(merged), want);
-
-  // Shard-file round trip is bit-exact too.
-  const dse::ShardResult back = dse::read_shard_file(files[0]);
-  EXPECT_EQ(dse::encode_shard_result(back),
-            dse::encode_shard_result(dse::read_shard_file(files[0])));
-  EXPECT_EQ(back.shard_count, 2u);
-  EXPECT_EQ(back.specs.size(), specs.size());
+  // The merge is the plain sweep over the shards' store.
+  dse::SweepOptions fin = ref;
+  fin.store_dir = store;
+  const dse::SweepReport merged = dse::run_sweep(test_library(), specs, fin);
+  EXPECT_EQ(merged.cache.misses, 0u);
+  EXPECT_EQ(merged.cache.loaded, shard_misses);
+  EXPECT_EQ(dse::sweep_frontier_json(merged), dse::sweep_frontier_json(whole));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(merged.per_spec[i].result.explored.size(),
+              whole.per_spec[i].result.explored.size())
+        << "spec " << i;
+  }
 }
 
-TEST(ShardedSweep, MergeRejectsInconsistentShardSets) {
-  const std::string root = fresh_root("shard_bad");
-  std::filesystem::create_directories(root);
-  dse::SweepGrid grid;
-  grid.base = small_spec();
-  const std::vector<core::PerfSpec> specs = grid.expand();
+TEST(ShardedSweep, MissingShardIsComputedByTheFinalRun) {
+  const std::vector<core::PerfSpec> specs = shard_grid();
+  const dse::SweepReport shard1 =
+      run_shard(specs, fresh_root("shard_1_alone"), 1);
 
-  dse::SweepOptions opt;
-  opt.threads = 1;
-  opt.shard_index = 0;
-  opt.shard_count = 2;
-  opt.lint_frontier = false;
-  const dse::SweepReport rep = dse::run_sweep(test_library(), specs, opt);
-  const dse::ShardResult sr = dse::make_shard_result(specs, rep, 0, 2);
-  const std::string path = root + "/only0.bin";
-  ASSERT_TRUE(dse::write_shard_file(path, sr));
+  const std::string store = fresh_root("shard_0_only");
+  (void)run_shard(specs, store, 0);
+  dse::SweepOptions fin;
+  fin.threads = 2;
+  fin.store_dir = store;
+  const dse::SweepReport merged = dse::run_sweep(test_library(), specs, fin);
+  EXPECT_GT(shard1.cache.misses, 0u);
+  EXPECT_EQ(merged.cache.misses, shard1.cache.misses);
 
-  // Missing shard 1: merge must refuse rather than silently produce a
-  // partial frontier.
-  EXPECT_THROW((void)dse::merge_shards(test_library(), {path}, {}),
-               std::invalid_argument);
-  // Duplicate shard 0 is inconsistent too.
-  EXPECT_THROW((void)dse::merge_shards(test_library(), {path, path}, {}),
-               std::invalid_argument);
-  // A malformed file fails loudly, not as an empty merge.
-  const std::string junk = root + "/junk.bin";
-  { std::ofstream f(junk, std::ios::binary); f << "not a shard file"; }
-  EXPECT_THROW((void)dse::merge_shards(test_library(), {junk}, {}),
-               std::exception);
+  dse::SweepOptions ref;
+  ref.threads = 2;
+  EXPECT_EQ(dse::sweep_frontier_json(merged),
+            dse::sweep_frontier_json(
+                dse::run_sweep(test_library(), specs, ref)));
 }

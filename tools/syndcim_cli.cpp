@@ -8,8 +8,8 @@
 //   syndcim [compile] rows=64 cols=64 mcr=2 mac_mhz=400 [--out DIR]
 //   syndcim sweep [base spec keys] [sweep_mac_mhz=...] [sweep_mcr=...]
 //           [sweep_bits=...] [sweep_pref=...] [--threads N]
-//           [--no-cache] [--json FILE] [--frontier-json FILE]
-//           [--store-dir DIR]
+//           [--json FILE] [--frontier-json FILE]
+//           [--store-dir DIR [--shard I/N]]
 //   syndcim netmap --model model.json [--frontier-json FILE |
 //           base spec keys + sweep_* grid keys] [--budget-macros N]
 //           [--budget-area UM2] [--threads N] [--store-dir DIR]
@@ -39,7 +39,10 @@
 // a shared memoized evaluation cache and prints a JSON report (global
 // Pareto frontier + per-spec summaries + cache/pool statistics). With
 // --store-dir, evaluation outcomes and subcircuit artifacts persist in
-// one on-disk store, so a repeat sweep starts warm.
+// one on-disk store, so a repeat sweep starts warm. `--shard I/N` splits
+// the grid across processes sharing that store; an unsharded sweep over
+// it afterwards is the merged run, with every evaluation served from the
+// store.
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -55,7 +58,6 @@
 #include "core/diag.hpp"
 #include "core/report.hpp"
 #include "core/spec.hpp"
-#include "dse/shard.hpp"
 #include "dse/sweep.hpp"
 #include "lint/lint.hpp"
 #include "netlist/verilog_parser.hpp"
@@ -114,13 +116,10 @@ void usage_sweep(std::ostream& os) {
   os << "usage: syndcim sweep [--spec FILE] [key=value ...]\n"
         "               [sweep_mac_mhz=...] [sweep_mcr=...]\n"
         "               [sweep_bits=...] [sweep_pref=...] [--threads N]\n"
-        "               [--no-cache] [--json FILE]\n"
-        "               [--frontier-json FILE] [--store-dir DIR]\n"
-        "               [--shard I/N --shard-out FILE]\n"
-        "               [--merge-shards FILE...] [common options]\n"
+        "               [--json FILE] [--frontier-json FILE]\n"
+        "               [--store-dir DIR [--shard I/N]] [common options]\n"
         "  options:\n"
         "    --threads N       worker threads (default: hardware)\n"
-        "    --no-cache        disable evaluation memoization\n"
         "    --no-artifact-cache  disable the subcircuit-artifact tier\n"
         "    --json FILE       full sweep report JSON (default: stdout)\n"
         "    --frontier-json FILE  deterministic global-frontier JSON\n"
@@ -128,13 +127,10 @@ void usage_sweep(std::ostream& os) {
         "                      and artifacts: a repeat sweep over the same\n"
         "                      grid starts warm, and concurrent shards\n"
         "                      share it as their cache\n"
-        "    --shard I/N       evaluate only the specs with global grid\n"
-        "                      index == I (mod N); pair with --shard-out\n"
-        "                      and merge the N files with --merge-shards\n"
-        "    --shard-out FILE  write this shard's Pareto sets (binary)\n"
-        "    --merge-shards FILE...  fold shard files into the global\n"
-        "                      frontier (byte-identical to one process\n"
-        "                      sweeping the whole grid); no sweep is run\n"
+        "    --shard I/N       evaluate only shard I of N of the grid (specs\n"
+        "                      differing only in preference share a shard)\n"
+        "                      into --store-dir; the unsharded sweep over\n"
+        "                      that store afterwards is the merged run\n"
         "    sweep_mac_mhz=250,350  MAC frequency grid dimension\n"
         "    sweep_mcr=1,2          memory-compute-ratio dimension\n"
         "    sweep_bits=4;8;4,8     precision groups (`;`-separated)\n"
@@ -148,7 +144,7 @@ void usage_netmap(std::ostream& os) {
         "               [--frontier-json FILE | [--spec FILE]\n"
         "               [key=value ...] [sweep_* grid keys]]\n"
         "               [--budget-macros N] [--budget-area UM2]\n"
-        "               [--threads N] [--store-dir DIR] [--no-cache]\n"
+        "               [--threads N] [--store-dir DIR]\n"
         "               [--json FILE] [common options]\n"
         "  options:\n"
         "    --model FILE      syndcim-model v1 layer-graph JSON (required)\n"
@@ -161,7 +157,6 @@ void usage_netmap(std::ostream& os) {
         "    --threads N       inline-sweep worker threads\n"
         "    --store-dir DIR   durable on-disk store the inline sweep\n"
         "                      starts warm from and persists into\n"
-        "    --no-cache        disable evaluation memoization\n"
         "    --json FILE       syndcim-netmap v1 report (default: stdout)\n"
      << kCommonOptions
      << "  exit status: 0 mapped, 1 model/frontier/mapping errors,\n"
@@ -253,59 +248,10 @@ void read_spec_file(const std::string& path,
 /// options already stripped by main().
 using Args = std::vector<std::string>;
 
-/// Shared tail of the sweep and merge-shards paths: frontier table on
-/// stderr, report/frontier JSON files, buffered CACHE-* findings, and the
-/// feasibility exit status.
-int emit_sweep_outputs(const dse::SweepReport& rep,
-                       const std::string& json_path,
-                       const std::string& frontier_path,
-                       const core::DiagEngine& diag) {
-  core::TextTable t({"spec", "MHz", "mcr", "label", "power_uW", "area_um2",
-                     "fmax_MHz"});
-  for (const dse::FrontierPoint& fp : rep.frontier) {
-    const core::PerfSpec& s = rep.per_spec[fp.spec_index].spec;
-    t.add_row({std::to_string(fp.spec_index),
-               core::TextTable::num(s.mac_freq_mhz, 0),
-               std::to_string(s.mcr), fp.point.label,
-               core::TextTable::num(fp.point.ppa.power_uw, 0),
-               core::TextTable::num(fp.point.ppa.area_um2, 0),
-               core::TextTable::num(fp.point.ppa.fmax_mhz, 0)});
-  }
-  t.print(std::cerr);
-
-  for (const core::Diagnostic& d : diag.diags()) {
-    std::cerr << core::severity_name(d.severity) << " [" << d.rule << "] "
-              << d.message << " (" << d.object << ")\n";
-  }
-  if (!rep.store_json.empty()) {
-    std::cerr << "store: " << rep.store_json << "\n";
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    f << dse::sweep_report_json(rep);
-    std::cerr << "wrote " << json_path << "\n";
-  } else {
-    std::cout << dse::sweep_report_json(rep);
-  }
-  if (!frontier_path.empty()) {
-    std::ofstream f(frontier_path);
-    f << dse::sweep_frontier_json(rep);
-    std::cerr << "wrote " << frontier_path << "\n";
-  }
-  bool any_feasible = false;
-  for (const dse::SpecResult& sr : rep.per_spec) {
-    any_feasible = any_feasible || sr.result.feasible();
-  }
-  return any_feasible ? 0 : 1;
-}
-
 int run_sweep_command(const Args& args) {
   std::map<std::string, std::string> kv;
   dse::SweepOptions opt;
-  std::string json_path, frontier_path, shard_out;
-  bool merge_mode = false;
-  std::vector<std::string> merge_paths;
+  std::string json_path, frontier_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--help" || a == "-h") {
@@ -321,8 +267,6 @@ int run_sweep_command(const Args& args) {
                   << "'\n";
         return 2;
       }
-    } else if (a == "--no-cache") {
-      opt.use_cache = false;
     } else if (a == "--no-artifact-cache") {
       opt.use_artifact_cache = false;
     } else if (a == "--json" && i + 1 < args.size()) {
@@ -349,12 +293,6 @@ int run_sweep_command(const Args& args) {
                   << "'\n";
         return 2;
       }
-    } else if (a == "--shard-out" && i + 1 < args.size()) {
-      shard_out = args[++i];
-    } else if (a == "--merge-shards") {
-      merge_mode = true;
-    } else if (merge_mode && a.rfind("--", 0) != 0) {
-      merge_paths.push_back(a);
     } else if (a.find('=') != std::string::npos) {
       const auto eq = a.find('=');
       kv[a.substr(0, eq)] = a.substr(eq + 1);
@@ -365,29 +303,12 @@ int run_sweep_command(const Args& args) {
     }
   }
 
-  if (merge_mode) {
-    if (merge_paths.empty()) {
-      std::cerr << "error: --merge-shards wants shard file paths\n";
-      usage_sweep(std::cerr);
-      return 2;
-    }
-    const auto lib =
-        cell::characterize_default_library(tech::make_default_40nm());
-    core::DiagEngine diag;
-    dse::MergeOptions mopt;
-    mopt.store_dir = opt.store_dir;
-    mopt.diag = &diag;
-    dse::SweepReport rep;
-    try {
-      rep = dse::merge_shards(lib, merge_paths, mopt);
-    } catch (const std::exception& e) {
-      std::cerr << "error: merge-shards: " << e.what() << "\n";
-      return 2;
-    }
-    std::cerr << "merged " << merge_paths.size() << " shard files: "
-              << rep.frontier.size() << " frontier points from "
-              << rep.per_spec.size() << " specs\n";
-    return emit_sweep_outputs(rep, json_path, frontier_path, diag);
+  // A shard's results are reachable only through the store it shares
+  // with the other shards and the final unsharded run.
+  if (opt.shard_count > 1 && opt.store_dir.empty()) {
+    std::cerr << "error: --shard wants --store-dir (the shards' results "
+                 "merge through it)\n";
+    return 2;
   }
 
   const dse::SweepGrid grid = dse::grid_from_kv(std::move(kv));
@@ -397,12 +318,12 @@ int run_sweep_command(const Args& args) {
   opt.cancel = &serve::interrupt_token();
   core::DiagEngine diag;
   opt.diag = &diag;
-  // A shard's frontier is partial — the merge lints the real one.
+  // A shard's frontier is partial — the final unsharded run lints the
+  // real one.
   if (opt.shard_count > 1) opt.lint_frontier = false;
   std::cerr << "sweep: " << specs.size() << " spec points, threads="
             << (opt.threads > 0 ? opt.threads
-                                : dse::WorkStealingPool::default_threads())
-            << ", cache=" << (opt.use_cache ? "on" : "off");
+                                : dse::WorkStealingPool::default_threads());
   if (!opt.store_dir.empty()) std::cerr << ", store=" << opt.store_dir;
   if (opt.shard_count > 1) {
     std::cerr << ", shard=" << opt.shard_index << "/" << opt.shard_count;
@@ -450,24 +371,49 @@ int run_sweep_command(const Args& args) {
   if (!opt.use_artifact_cache) std::cerr << ", tier disabled";
   std::cerr << ")\n";
 
-  if (!shard_out.empty()) {
-    const dse::ShardResult sr =
-        dse::make_shard_result(specs, rep, opt.shard_index, opt.shard_count);
-    if (!dse::write_shard_file(shard_out, sr)) {
-      std::cerr << "error: cannot write shard file " << shard_out << "\n";
-      return 2;
-    }
-    std::cerr << "wrote " << shard_out << " (" << sr.owned.size() << " of "
-              << specs.size() << " specs)\n";
+  core::TextTable t({"spec", "MHz", "mcr", "label", "power_uW", "area_um2",
+                     "fmax_MHz"});
+  for (const dse::FrontierPoint& fp : rep.frontier) {
+    const core::PerfSpec& s = rep.per_spec[fp.spec_index].spec;
+    t.add_row({std::to_string(fp.spec_index),
+               core::TextTable::num(s.mac_freq_mhz, 0),
+               std::to_string(s.mcr), fp.point.label,
+               core::TextTable::num(fp.point.ppa.power_uw, 0),
+               core::TextTable::num(fp.point.ppa.area_um2, 0),
+               core::TextTable::num(fp.point.ppa.fmax_mhz, 0)});
+  }
+  t.print(std::cerr);
+
+  for (const core::Diagnostic& d : diag.diags()) {
+    std::cerr << core::severity_name(d.severity) << " [" << d.rule << "] "
+              << d.message << " (" << d.object << ")\n";
+  }
+  if (!rep.store_json.empty()) {
+    std::cerr << "store: " << rep.store_json << "\n";
   }
 
-  const int rc = emit_sweep_outputs(rep, json_path, frontier_path, diag);
+  if (!json_path.empty()) {
+    std::ofstream f(json_path);
+    f << dse::sweep_report_json(rep);
+    std::cerr << "wrote " << json_path << "\n";
+  } else {
+    std::cout << dse::sweep_report_json(rep);
+  }
+  if (!frontier_path.empty()) {
+    std::ofstream f(frontier_path);
+    f << dse::sweep_frontier_json(rep);
+    std::cerr << "wrote " << frontier_path << "\n";
+  }
   if (rep.cancelled && serve::shutdown_signal() != 0) {
     std::cerr << "sweep interrupted (signal " << serve::shutdown_signal()
               << "); partial report written\n";
     return 128 + serve::shutdown_signal();
   }
-  return rc;
+  bool any_feasible = false;
+  for (const dse::SpecResult& sr : rep.per_spec) {
+    any_feasible = any_feasible || sr.result.feasible();
+  }
+  return any_feasible ? 0 : 1;
 }
 
 /// `syndcim netmap`: map a layer-graph model onto a heterogeneous macro
@@ -519,8 +465,6 @@ int run_netmap_command(const Args& args) {
       }
     } else if (a == "--store-dir" && i + 1 < args.size()) {
       sopt.store_dir = args[++i];
-    } else if (a == "--no-cache") {
-      sopt.use_cache = false;
     } else if (a == "--json" && i + 1 < args.size()) {
       json_path = args[++i];
     } else if (a.find('=') != std::string::npos) {
